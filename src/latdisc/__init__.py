@@ -6,12 +6,12 @@ roots, pi, Gamma at half-integers) are handled as two-sided rational
 enclosures with directed rounding, so every printed digit and every
 inequality verdict is certified.
 
-The hot integer kernels have a compiled twin; `kernel_implementation` says
-which one is active ("compiled" or "pure").  Set LATDISC_PURE_KERNELS=1 to
-force the pure-Python reference kernels.
+The integer kernels (Gauss and LLL reduction, brute-force search boxes) are
+plain Python; `kernel_implementation` is the constant "pure", kept so that
+recorded results can say which kernels produced them.
 """
 
-from .kernels import IMPLEMENTATION as kernel_implementation
+kernel_implementation = "pure"
 
 from .errors import (
     CapExceededError,

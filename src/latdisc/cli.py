@@ -19,7 +19,7 @@ Exit codes: 0 success (for verify: every check passed), 2 malformed input,
 3 a configured cap was exceeded, 4 an invariant or verification check
 failed.  The default precision is 50 significant digits, overridable per
 call with --digits or globally with the LATDISC_PRECISION environment
-variable; values below 30 are refused.
+variable; values below 30 or above 1600 are refused.
 """
 
 from __future__ import annotations
@@ -89,8 +89,8 @@ def _add_precision_arg(p: argparse.ArgumentParser) -> None:
         type=int,
         default=None,
         help=(
-            f"significant digits for decimal output, at least "
-            f"{directed.MIN_DIGITS} (default: $LATDISC_PRECISION or "
+            f"significant digits for decimal output, {directed.MIN_DIGITS} "
+            f"to {directed.MAX_DIGITS} (default: $LATDISC_PRECISION or "
             f"{directed.DEFAULT_DIGITS})"
         ),
     )
@@ -190,11 +190,14 @@ def _require(condition: bool, message: str) -> None:
 
 def _lattice_from_args(args) -> lattice_mod.IntegrationLattice:
     if args.infile:
-        if args.infile == "-":
-            text = sys.stdin.read()
-        else:
-            with open(args.infile, "r", encoding="utf-8") as fh:
-                text = fh.read()
+        try:
+            if args.infile == "-":
+                text = sys.stdin.read()
+            else:
+                with open(args.infile, "r", encoding="utf-8") as fh:
+                    text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise InputError(f"lattice input is not UTF-8 text: {exc}") from exc
         return lattice_mod.from_json(text)
     if args.family == "fibonacci":
         _require(args.m is not None, "--family fibonacci needs --m")

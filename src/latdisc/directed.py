@@ -11,6 +11,9 @@ comparisons never go through this module at all.
 Precision arguments count significant decimal digits.  The package default
 is 50 and anything below 30 is refused: renderings are meant to make the
 certified comparisons reproducible, not to look approximately right.
+Anything above 1600 is refused too: that is where certified comparisons stop
+refining, and far beyond it decimal rendering would hit CPython's limit on
+int/str conversion.
 """
 
 from __future__ import annotations
@@ -30,6 +33,8 @@ MAX_DIGITS = 1600
 def _check_digits(digits: int) -> int:
     if digits < MIN_DIGITS:
         raise InputError(f"precision below {MIN_DIGITS} significant digits is refused")
+    if digits > MAX_DIGITS:
+        raise InputError(f"precision above {MAX_DIGITS} significant digits is refused")
     return digits
 
 

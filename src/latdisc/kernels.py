@@ -1,17 +1,13 @@
-"""Integer lattice kernels, pure Python reference implementation.
+"""Integer lattice kernels.
 
 These are the inner loops of the whole package: basis reduction and the
 brute-force search boxes used as independent oracles.  Everything works on
 plain Python ints (arbitrary precision, no overflow by construction) and is
-deterministic.  The compiled twin in _speedups.pyx implements exactly the
-same contracts and must produce bit-identical results; tests/test_kernels.py
-checks the two against each other.
+deterministic.
 
 All functions take and return lists of ints.  None of them knows about
 Fractions or lattices; callers scale rational bases to integers first.
 """
-
-IMPLEMENTATION = "pure"
 
 
 def _dot(u, v):

@@ -293,6 +293,11 @@ def to_json(lattice: IntegrationLattice) -> str:
     return json.dumps(payload, sort_keys=True)
 
 
+def _is_int(value) -> bool:
+    # JSON true/false load as bool, a subclass of int; they are not counts.
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def from_json(text: str) -> IntegrationLattice:
     """Parse the interchange JSON; raises InputError on malformed input."""
     try:
@@ -303,14 +308,14 @@ def from_json(text: str) -> IntegrationLattice:
         raise InputError("lattice JSON must be an object")
     kind = payload.get("kind")
     dim = payload.get("dim")
-    if not isinstance(dim, int) or dim < 1:
+    if not _is_int(dim) or dim < 1:
         raise InputError("lattice JSON needs a positive integer 'dim'")
     if kind == "rank1":
         n = payload.get("n")
         g = payload.get("generator")
-        if not isinstance(n, int) or not isinstance(g, list) or len(g) != dim:
+        if not _is_int(n) or not isinstance(g, list) or len(g) != dim:
             raise InputError("rank1 JSON needs integer 'n' and a d-vector 'generator'")
-        if not all(isinstance(x, int) for x in g):
+        if not all(_is_int(x) for x in g):
             raise InputError("rank1 generator entries must be integers")
         return from_rank1(n, g)
     if kind == "basis":
@@ -320,6 +325,8 @@ def from_json(text: str) -> IntegrationLattice:
         relaxed = payload.get("integration") is False
         lattice = from_basis(rows, relaxed=relaxed)
         stated_n = payload.get("n")
+        if stated_n is not None and not _is_int(stated_n):
+            raise InputError("basis JSON 'n' must be an integer")
         if stated_n is not None and lattice.n_points != stated_n:
             raise InputError(
                 f"stated n={stated_n} disagrees with basis (n={lattice.n_points})"

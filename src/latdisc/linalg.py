@@ -32,11 +32,12 @@ def as_fraction(value) -> Fraction:
     """Coerce an int, Fraction, or 'p/q' string to Fraction.
 
     Floats are rejected on purpose: admitting them silently would launder
-    rounding error into a pipeline whose whole point is exactness.
+    rounding error into a pipeline whose whole point is exactness.  So are
+    booleans, which Python counts as ints but which are never numbers here.
     """
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, int):
+    if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
         try:

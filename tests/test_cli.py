@@ -1,12 +1,15 @@
 """Command-line interface: subcommands, exit codes, and stable output."""
 
+import io
 import json
+import os
 import subprocess
 import sys
 
 import pytest
 
-from latdisc import __version__, cli, lattice
+import latdisc
+from latdisc import __version__, cli, directed, lattice
 
 
 def run_cli(capsys, *args):
@@ -206,12 +209,35 @@ class TestPrecision:
         monkeypatch.setenv("LATDISC_PRECISION", "10")
         assert cli.main(["spectral", "--family", "fibonacci", "--m", "5"]) == 2
 
+    def test_high_precision_exit_2(self, capsys, monkeypatch):
+        args = ["spectral", "--family", "fibonacci", "--m", "5"]
+        assert cli.main(args + ["--digits", str(directed.MAX_DIGITS)]) == 0
+        assert cli.main(args + ["--digits", "100000"]) == 2
+        monkeypatch.setenv("LATDISC_PRECISION", "100000")
+        assert cli.main(args) == 2
+        refused = "latdisc: input error: precision above 1600 significant digits is refused"
+        assert capsys.readouterr().err.splitlines() == [refused, refused]
+
 
 class TestErrorPaths:
     def test_malformed_lattice_file_exit_2(self, capsys, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{not json")
         assert cli.main(["spectral", "--in", str(path)]) == 2
+
+    def test_non_utf8_lattice_file_exit_2(self, capsys, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_bytes(b"\xff\xfe{")
+        assert cli.main(["spectral", "--in", str(path)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "not UTF-8" in err[0]
+
+    def test_non_utf8_stdin_exit_2(self, capsys, monkeypatch):
+        stdin = io.TextIOWrapper(io.BytesIO(b"\xff\xfe{"), encoding="utf-8")
+        monkeypatch.setattr(sys, "stdin", stdin)
+        assert cli.main(["spectral", "--in", "-"]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "not UTF-8" in err[0]
 
     def test_missing_file_exit_2(self, capsys, tmp_path):
         assert cli.main(["spectral", "--in", str(tmp_path / "absent.json")]) == 2
@@ -231,11 +257,18 @@ class TestErrorPaths:
 
 class TestConsoleScript:
     def test_installed_entry_point(self):
+        # The child imports the latdisc under test, installed or not.
+        package_root = os.path.dirname(os.path.dirname(latdisc.__file__))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (package_root, env.get("PYTHONPATH")) if p
+        )
         out = subprocess.run(
             [sys.executable, "-m", "latdisc.cli", "spectral", "--family",
              "fibonacci", "--m", "5"],
             capture_output=True,
             text=True,
+            env=env,
         )
-        assert out.returncode == 0
+        assert out.returncode == 0, out.stderr
         assert json.loads(out.stdout)["result"]["sigma_sq"] == "1/5"

@@ -1,32 +1,20 @@
-"""Pure vs compiled kernel equivalence, plus kernel-level postconditions.
-
-The compiled extension must be a drop-in twin of the pure reference:
-identical outputs, bit for bit, on every input, including inputs that push
-the compiled dispatcher off its fixed-width fast path and onto the object
-path (huge entries, dimensions above the typed limit).
+"""Kernel-level postconditions, including inputs with huge entries and
+boxes of high dimension.
 """
 
-import os
 import random
-import subprocess
-import sys
+from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import latdisc
-from latdisc.kernels import _pure
+from latdisc import kernels, linalg
 
-try:
-    from latdisc.kernels import _speedups
-except ImportError:
-    _speedups = None
-
-BOTH = [_pure] + ([_speedups] if _speedups is not None else [])
-needs_compiled = pytest.mark.skipif(
-    _speedups is None, reason="compiled extension not built"
-)
+# Every test that takes `mod` runs once, on the kernels module, under the id
+# "pure"; the ids keep these tests' names stable.
+pure = pytest.mark.parametrize("mod", [kernels], ids=["pure"])
 
 
 def _det2(rows):
@@ -44,13 +32,13 @@ independent_2d = st.tuples(
 
 
 class TestGauss:
-    @pytest.mark.parametrize("mod", BOTH, ids=lambda m: m.IMPLEMENTATION)
+    @pure
     def test_reduced_conditions(self, mod):
         u, v = mod.gauss_reduce_2d([[31, 59], [41, 76]])
         assert _dot(u, u) <= _dot(v, v)
         assert abs(2 * _dot(u, v)) <= _dot(u, u)
 
-    @pytest.mark.parametrize("mod", BOTH, ids=lambda m: m.IMPLEMENTATION)
+    @pure
     def test_dependent_rejected(self, mod):
         with pytest.raises(ValueError):
             mod.gauss_reduce_2d([[2, 4], [1, 2]])
@@ -61,7 +49,7 @@ class TestGauss:
     @settings(max_examples=120, deadline=None)
     def test_same_lattice_and_minimum(self, rows):
         rows = [list(rows[0]), list(rows[1])]
-        u, v = _pure.gauss_reduce_2d([r[:] for r in rows])
+        u, v = kernels.gauss_reduce_2d([r[:] for r in rows])
         assert abs(_det2([u, v])) == abs(_det2(rows))
         # u attains the minimum: no shorter vector among small combinations
         nu = _dot(u, u)
@@ -72,135 +60,99 @@ class TestGauss:
                 w = [a * u[i] + b * v[i] for i in range(2)]
                 assert _dot(w, w) >= nu
 
-    @needs_compiled
-    @given(independent_2d)
-    @settings(max_examples=120, deadline=None)
-    def test_twins_agree(self, rows):
-        rows = [list(rows[0]), list(rows[1])]
-        assert _speedups.gauss_reduce_2d([r[:] for r in rows]) == (
-            _pure.gauss_reduce_2d([r[:] for r in rows])
-        )
-
-    @needs_compiled
-    def test_twins_agree_on_object_path(self):
-        big = 1 << 40  # beyond the typed-path entry guard
+    def test_huge_entries(self):
+        big = 1 << 40
         rows = [[31 * big, 59 * big], [41 * big, 76 * big + 1]]
-        assert _speedups.gauss_reduce_2d([r[:] for r in rows]) == (
-            _pure.gauss_reduce_2d([r[:] for r in rows])
-        )
+        u, v = kernels.gauss_reduce_2d([r[:] for r in rows])
+        assert _dot(u, u) <= _dot(v, v)
+        assert abs(2 * _dot(u, v)) <= _dot(u, u)
+        assert abs(_det2([u, v])) == abs(_det2(rows))
 
 
-def _random_basis(rng, n, lo=-30, hi=30):
-    while True:
-        rows = [[rng.randint(lo, hi) for _ in range(n)] for _ in range(n)]
-        try:
-            _pure.lll_reduce([r[:] for r in rows])
-        except ValueError:
-            continue
-        return rows
+def _assert_lll_reduced(rows, reduced, delta=F(3, 4)):
+    """Size reduction, the Lovasz condition and |det| of the input."""
+    n = len(reduced)
+    gso, mu = linalg.gram_schmidt(linalg.RationalMatrix(reduced))
+    star = [linalg.dot(b, b) for b in gso.rows]
+    assert all(abs(mu[i, j]) <= F(1, 2) for i in range(n) for j in range(i))
+    assert all(
+        star[k] >= (delta - mu[k, k - 1] ** 2) * star[k - 1] for k in range(1, n)
+    )
+    assert abs(linalg.det(linalg.RationalMatrix(reduced))) == abs(
+        linalg.det(linalg.RationalMatrix(rows))
+    )
 
 
 class TestLLL:
-    @pytest.mark.parametrize("mod", BOTH, ids=lambda m: m.IMPLEMENTATION)
+    @pure
     def test_bad_delta_rejected(self, mod):
         with pytest.raises(ValueError):
             mod.lll_reduce([[1, 0], [0, 1]], 1, 4)
         with pytest.raises(ValueError):
             mod.lll_reduce([[1, 0], [0, 1]], 5, 4)
 
-    @pytest.mark.parametrize("mod", BOTH, ids=lambda m: m.IMPLEMENTATION)
+    @pure
     def test_dependent_rejected(self, mod):
         with pytest.raises(ValueError):
             mod.lll_reduce([[1, 2], [2, 4]])
 
-    @needs_compiled
-    def test_twins_agree_randomized(self):
-        rng = random.Random(2024)
-        for _ in range(60):
-            n = rng.randint(1, 5)
-            rows = _random_basis(rng, n)
-            assert _speedups.lll_reduce([r[:] for r in rows]) == (
-                _pure.lll_reduce([r[:] for r in rows])
-            )
-
-    @needs_compiled
-    def test_twins_agree_big_entries(self):
+    def test_huge_entries(self):
         rng = random.Random(7)
-        rows = _random_basis(rng, 4, -(10**25), 10**25)
-        assert _speedups.lll_reduce([r[:] for r in rows]) == (
-            _pure.lll_reduce([r[:] for r in rows])
-        )
+        rows = [[rng.randint(-(10**25), 10**25) for _ in range(4)] for _ in range(4)]
+        _assert_lll_reduced(rows, kernels.lll_reduce([r[:] for r in rows]))
 
-    @needs_compiled
-    def test_twins_agree_other_delta(self):
+    def test_other_delta(self):
         rng = random.Random(99)
         for num, den in [(1, 2), (7, 8), (99, 100)]:
             for _ in range(12):
-                rows = _random_basis(rng, rng.randint(2, 5))
-                assert _speedups.lll_reduce([r[:] for r in rows], num, den) == (
-                    _pure.lll_reduce([r[:] for r in rows], num, den)
-                )
+                n = rng.randint(2, 5)
+                rows = [[rng.randint(-30, 30) for _ in range(n)] for _ in range(n)]
+                if linalg.det(linalg.RationalMatrix(rows)) == 0:
+                    continue
+                reduced = kernels.lll_reduce([r[:] for r in rows], num, den)
+                _assert_lll_reduced(rows, reduced, F(num, den))
 
     def test_input_not_mutated(self):
         rows = [[3, 5], [4, 9]]
         snapshot = [r[:] for r in rows]
-        _pure.lll_reduce(rows)
+        kernels.lll_reduce(rows)
         assert rows == snapshot
 
 
 class TestCoeffBox:
-    @pytest.mark.parametrize("mod", BOTH, ids=lambda m: m.IMPLEMENTATION)
+    @pure
     def test_identity_lattice(self, mod):
         vec, norm = mod.min_norm_in_coeff_box([[1, 0], [0, 1]], [2, 2])
         assert norm == 1
 
-    @pytest.mark.parametrize("mod", BOTH, ids=lambda m: m.IMPLEMENTATION)
+    @pure
     def test_empty_box_rejected(self, mod):
         with pytest.raises(ValueError):
             mod.min_norm_in_coeff_box([[1, 0], [0, 1]], [0, 0])
 
-    @needs_compiled
-    def test_twins_agree_randomized(self):
-        rng = random.Random(4242)
-        for _ in range(60):
-            n = rng.randint(1, 4)
-            rows = [[rng.randint(-15, 15) for _ in range(n)] for _ in range(n)]
-            widths = [rng.randint(0, 3) for _ in range(n)]
-            if all(w == 0 for w in widths):
-                widths[0] = 1
-            try:
-                expect = _pure.min_norm_in_coeff_box(rows, widths)
-            except ValueError:
-                with pytest.raises(ValueError):
-                    _speedups.min_norm_in_coeff_box(rows, widths)
-                continue
-            assert _speedups.min_norm_in_coeff_box(rows, widths) == expect
+    def test_huge_entries(self):
+        big = 10**12
+        assert kernels.min_norm_in_coeff_box([[big, 1], [0, big]], [2, 2]) == (
+            [0, big],
+            big**2,
+        )
 
-    @needs_compiled
-    def test_twins_agree_object_path(self):
-        big = 10**12  # span guard pushes this off the typed path
-        rows = [[big, 1], [0, big]]
-        expect = _pure.min_norm_in_coeff_box(rows, [2, 2])
-        assert _speedups.min_norm_in_coeff_box(rows, [2, 2]) == expect
-
-    @needs_compiled
-    def test_twins_agree_above_typed_dimension(self):
-        n = 17  # typed path handles at most 16 rows
+    def test_seventeen_rows(self):
+        n = 17
         rows = [[int(i == j) for j in range(n)] for i in range(n)]
         widths = [1, 1] + [0] * (n - 2)  # tiny box, still 17-dimensional
-        expect = _pure.min_norm_in_coeff_box(rows, widths)
-        assert expect[1] == 1
-        assert _speedups.min_norm_in_coeff_box(rows, widths) == expect
+        vec, norm = kernels.min_norm_in_coeff_box(rows, widths)
+        assert (vec, norm) == ([0, 1] + [0] * (n - 2), 1)
 
 
 class TestRank1Box:
-    @pytest.mark.parametrize("mod", BOTH, ids=lambda m: m.IMPLEMENTATION)
+    @pure
     def test_known_case(self, mod):
         vec, norm = mod.rank1_dual_min_in_box(5, [1, 3], 2)
         assert norm == 5
         assert (vec[0] + 3 * vec[1]) % 5 == 0
 
-    @pytest.mark.parametrize("mod", BOTH, ids=lambda m: m.IMPLEMENTATION)
+    @pure
     def test_nonunit_leading_coordinate(self, mod):
         # gcd(g0, n) > 1 exercises the general congruence solve
         vec, norm = mod.rank1_dual_min_in_box(12, [8, 3], 12)
@@ -215,63 +167,17 @@ class TestRank1Box:
         )
         assert norm == best
 
-    @pytest.mark.parametrize("mod", BOTH, ids=lambda m: m.IMPLEMENTATION)
+    @pure
     def test_empty_box_rejected(self, mod):
         with pytest.raises(ValueError):
             mod.rank1_dual_min_in_box(5, [1, 3], 0)
 
-    @needs_compiled
-    def test_twins_agree_randomized(self):
-        rng = random.Random(515)
-        for _ in range(100):
-            d = rng.randint(1, 4)
-            n = rng.randint(2, 60)
-            g = [rng.randint(0, n - 1) for _ in range(d)]
-            width = rng.randint(1, 8)
-            try:
-                expect = _pure.rank1_dual_min_in_box(n, g, width)
-            except ValueError:
-                with pytest.raises(ValueError):
-                    _speedups.rank1_dual_min_in_box(n, g, width)
-                continue
-            assert _speedups.rank1_dual_min_in_box(n, g, width) == expect
-
-    @needs_compiled
-    def test_twins_agree_object_path(self):
-        n = 10**10  # modulus above the typed-path guard of 2**31
-        g = [1, 5 * 10**9]
-        expect = _pure.rank1_dual_min_in_box(n, g, 2)
-        assert expect[1] == 4
-        assert _speedups.rank1_dual_min_in_box(n, g, 2) == expect
+    def test_huge_modulus(self):
+        n = 10**10
+        assert kernels.rank1_dual_min_in_box(n, [1, 5 * 10**9], 2) == ([0, -2], 4)
 
 
 class TestSelection:
     def test_default_import_exposes_kernels(self):
-        from latdisc import kernels
-
-        assert kernels.IMPLEMENTATION in ("pure", "compiled")
+        assert latdisc.kernel_implementation == "pure"
         assert callable(kernels.lll_reduce)
-
-    def test_env_var_forces_pure(self):
-        """LATDISC_PURE_KERNELS=1 selects the pure kernels in a fresh interpreter.
-
-        The child imports the same latdisc as this process, wherever that
-        came from (PYTHONPATH, an editable or a regular install).  The test
-        tells the two selections apart only where _speedups is built:
-        without the extension the child reports "pure" either way, and the
-        test then checks that the child imports and reports a valid
-        implementation.
-        """
-        package_root = os.path.dirname(os.path.dirname(latdisc.__file__))
-        env = dict(os.environ, LATDISC_PURE_KERNELS="1")
-        env["PYTHONPATH"] = os.pathsep.join(
-            p for p in (package_root, env.get("PYTHONPATH")) if p
-        )
-        out = subprocess.run(
-            [sys.executable, "-c", "import latdisc; print(latdisc.kernel_implementation)"],
-            capture_output=True,
-            text=True,
-            env=env,
-        )
-        assert out.returncode == 0, out.stderr
-        assert out.stdout.strip() == "pure"

@@ -202,6 +202,12 @@ class TestJSON:
             '{"kind": "mystery", "dim": 2}',
             '{"kind": "rank1", "dim": 0, "n": 5, "generator": []}',
             '{"kind": "basis", "dim": 2, "n": 7, "basis": [["1/5", "3/5"], ["0", "1"]]}',
+            # JSON booleans load as Python bools, which subclass int
+            '{"kind": "rank1", "dim": 2, "n": true, "generator": [1, 3]}',
+            '{"kind": "rank1", "dim": true, "n": 5, "generator": [1]}',
+            '{"kind": "rank1", "dim": 2, "n": 5, "generator": [true, 3]}',
+            '{"kind": "basis", "dim": 2, "basis": [[true, 0], [0, 1]]}',
+            '{"kind": "basis", "dim": 2, "n": true, "basis": [["1", "0"], ["0", "1"]]}',
         ],
     )
     def test_malformed_rejected(self, text):
