@@ -414,6 +414,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     handler = _HANDLERS[args.command]
     try:
+        for flag in ("cap", "svp_cap"):
+            value = getattr(args, flag, 0)
+            if value < 0:
+                flag = flag.replace("_", "-")
+                raise InputError(f"--{flag} must be nonnegative, got {value}")
         return handler(args)
     except InputError as exc:
         print(f"latdisc: input error: {exc}", file=sys.stderr)

@@ -25,6 +25,7 @@ from __future__ import annotations
 import json
 import random
 from bisect import bisect_left, bisect_right
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -115,19 +116,6 @@ def _points_for(lat: IntegrationLattice, points, enum_cap):
     return points
 
 
-def _plane_values(normal, points) -> list[int]:
-    values = []
-    for x in points:
-        v = sum(h * xi for h, xi in zip(normal, x))
-        v = Fraction(v)
-        if v.denominator != 1:
-            raise InvariantViolationError(
-                f"node {x} has non-integer product with dual vector {normal}"
-            )
-        values.append(int(v))
-    return values
-
-
 def slab_certificate(
     lat: IntegrationLattice,
     points: PointSet | None = None,
@@ -151,7 +139,7 @@ def slab_certificate(
     else:
         k = center_value.numerator // center_value.denominator
         slab = Slab(normal, k, k + 1, open=True)
-    inside = sum(1 for x in pts if volume.body_contains(slab, x))
+    inside = volume.count_inside(pts, slab)
     if inside != 0:
         raise InvariantViolationError(
             f"slab {slab} between adjacent dual planes contains {inside} nodes"
@@ -177,10 +165,7 @@ def hyperplane_count_certificate(
     pts = _points_for(lat, points, enum_cap)
     spectral = reduction.spectral_test(lat, svp_cap=svp_cap)
     normal = spectral.shortest_dual_vector
-    values = _plane_values(normal, pts)
-    counts: dict[int, int] = {}
-    for v in values:
-        counts[v] = counts.get(v, 0) + 1
+    counts = Counter(pts.plane_values(normal))
     n = len(pts)
     if sum(counts.values()) != n:
         raise InvariantViolationError("plane counts do not add up to N")
@@ -266,6 +251,8 @@ class _Search:
 
     def __init__(self, points: PointSet, budget: int, seed: int):
         self.points = points
+        # per-node passes read the numerators X = q * x
+        self.nodes, self.q = points.numerators, points.denominator
         self.n = len(points)
         self.dim = points.dim
         self.budget = budget
@@ -274,8 +261,8 @@ class _Search:
         self.witnesses: list[ConvexBody] = []
         self.rng = random.Random(seed)
         self.scanned: set[tuple[int, ...]] = set()
-        self._axis_interior: dict[int, list[Fraction]] = {}
-        self._axis_pools: dict[int, list[Fraction]] = {}
+        self._axis_interior: dict[int, list[int]] = {}
+        self._axis_pools: dict[int, list[int]] = {}
 
     def record(self, body: ConvexBody, delta: Fraction):
         magnitude = -delta if delta < 0 else delta
@@ -305,28 +292,26 @@ class _Search:
         if direction in self.scanned:
             return True
         self.scanned.add(direction)
-        values = sorted(
-            sum(a * xi for a, xi in zip(direction, x)) for x in self.points
-        )
+        values = sorted(self.points.products(direction))
         unique = sorted(set(values))
-        n = self.n
-        cube_lo = sum(min(a, 0) for a in direction)
-        cube_hi = sum(max(a, 0) for a in direction)
+        n, q = self.n, self.q
+        cube_lo = q * sum(min(a, 0) for a in direction)
+        cube_hi = q * sum(max(a, 0) for a in direction)
         for v in unique:
             if not self.spend():
                 return False
-            body = Halfspace(direction, v, closed=True)
+            body = Halfspace(direction, Fraction(v, q), closed=True)
             self.record(body, Fraction(bisect_right(values, v), n) - volume.body_volume(body))
             if not self.spend():
                 return False
-            body = Halfspace(direction, v, closed=False)
+            body = Halfspace(direction, Fraction(v, q), closed=False)
             self.record(body, Fraction(bisect_left(values, v), n) - volume.body_volume(body))
-        previous = Fraction(cube_lo)
-        for v in [Fraction(u) for u in unique] + [Fraction(cube_hi)]:
+        previous = cube_lo
+        for v in unique + [cube_hi]:
             if v > previous:
                 if not self.spend():
                     return False
-                body = Slab(direction, previous, v, open=True)
+                body = Slab(direction, Fraction(previous, q), Fraction(v, q), open=True)
                 inside = bisect_left(values, v) - bisect_right(values, previous)
                 self.record(body, Fraction(inside, n) - volume.body_volume(body))
             previous = max(previous, v)
@@ -334,12 +319,12 @@ class _Search:
 
     # -- axis boxes ---------------------------------------------------------
 
-    def _interior_projection(self, axis: int) -> list[Fraction]:
+    def _interior_projection(self, axis: int) -> list[int]:
         if axis not in self._axis_interior:
             proj = [
                 x[axis]
-                for x in self.points
-                if all(0 < xc < 1 for k, xc in enumerate(x) if k != axis)
+                for x in self.nodes
+                if all(0 < xc < self.q for k, xc in enumerate(x) if k != axis)
             ]
             self._axis_interior[axis] = sorted(proj)
         return self._axis_interior[axis]
@@ -348,31 +333,33 @@ class _Search:
         """Open boxes spanning the cube except along one axis, cut at every
         point-induced critical value.  Returns False once out of budget."""
         proj = self._interior_projection(axis)
-        pool = sorted(set(x[axis] for x in self.points if 0 < x[axis] < 1))
+        q = self.q
+        pool = sorted(set(x[axis] for x in self.nodes if 0 < x[axis] < q))
         d = self.dim
         ones = tuple(Fraction(1) for _ in range(d))
         zeros = tuple(Fraction(0) for _ in range(d))
-        for v in pool + [Fraction(1)]:
+        for v in pool + [q]:
+            cut = Fraction(v, q)
             if v > 0:
                 if not self.spend():
                     return False
-                hi = tuple(v if k == axis else Fraction(1) for k in range(d))
+                hi = tuple(cut if k == axis else Fraction(1) for k in range(d))
                 body = AxisBox(zeros, hi, open=True)
-                inside = bisect_left(proj, v) - bisect_right(proj, Fraction(0))
+                inside = bisect_left(proj, v) - bisect_right(proj, 0)
                 self.record(body, Fraction(inside, self.n) - volume.body_volume(body))
-            if v < 1:
+            if v < q:
                 if not self.spend():
                     return False
-                lo = tuple(v if k == axis else Fraction(0) for k in range(d))
+                lo = tuple(cut if k == axis else Fraction(0) for k in range(d))
                 body = AxisBox(lo, ones, open=True)
-                inside = bisect_left(proj, Fraction(1)) - bisect_right(proj, v)
+                inside = bisect_left(proj, q) - bisect_right(proj, v)
                 self.record(body, Fraction(inside, self.n) - volume.body_volume(body))
         return True
 
-    def _pool(self, axis: int) -> list[Fraction]:
+    def _pool(self, axis: int) -> list[int]:
         if axis not in self._axis_pools:
-            values = {Fraction(0), Fraction(1)}
-            values.update(x[axis] for x in self.points)
+            values = {0, self.q}
+            values.update(x[axis] for x in self.nodes)
             self._axis_pools[axis] = sorted(values)
         return self._axis_pools[axis]
 
@@ -385,8 +372,8 @@ class _Search:
             b = self.rng.choice(pool)
             if a > b:
                 a, b = b, a
-            lo.append(a)
-            hi.append(b)
+            lo.append(Fraction(a, self.q))
+            hi.append(Fraction(b, self.q))
         is_open = self.rng.random() < 0.5
         if is_open and any(a == b for a, b in zip(lo, hi)):
             is_open = False

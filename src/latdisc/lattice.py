@@ -13,19 +13,24 @@ L-perp, h != 0 }.
 
 Bases are canonicalized to Hermite normal form on construction, so two
 lattices are equal iff their `basis` attributes are equal.  Everything is
-exact (Fractions); nothing here rounds.
+exact; nothing here rounds.  Bases are Fractions; nodes are integer
+numerators over one shared denominator q (the lcm of the HNF denominators,
+a divisor of N for an integration lattice), so per-node work is integer.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from fractions import Fraction
+from operator import mul
 from typing import Iterable, Sequence
 
 from . import linalg
 from .errors import (
     CapExceededError,
     InputError,
+    InvariantViolationError,
     NotIntegrationLatticeError,
 )
 from .linalg import RationalMatrix, Vector, as_fraction, as_vector
@@ -116,29 +121,65 @@ class DualLattice:
 
 
 class PointSet:
-    """The nodes of a lattice in [0,1)^d, in deterministic enumeration order."""
+    """The nodes of a lattice in [0,1)^d, in deterministic enumeration order.
 
-    __slots__ = ("points", "dim")
+    Node x is stored as the integer vector X = q * x over one shared
+    denominator q (`numerators`, `denominator`), so per-node passes are
+    integer arithmetic.  Built from rational points, q is the least common
+    multiple of their denominators.  Iterating, `points`, len and == give
+    the exact Fraction tuples, built on demand; no hot path uses that view.
+    """
+
+    __slots__ = ("numerators", "denominator", "dim")
 
     def __init__(self, points: Sequence[Vector], dim: int):
-        self.points = tuple(tuple(p) for p in points)
-        self.dim = dim
+        rows = [as_vector(p) for p in points]
+        q = math.lcm(*(x.denominator for p in rows for x in p))
+        self.numerators = tuple(tuple(int(x * q) for x in p) for p in rows)
+        self.denominator, self.dim = q, dim
+
+    @classmethod
+    def from_numerators(cls, numerators, denominator: int, dim: int) -> "PointSet":
+        """The point set with nodes X / denominator, X in `numerators`."""
+        pts = cls((), dim)
+        pts.numerators, pts.denominator = tuple(numerators), denominator
+        return pts
+
+    @property
+    def points(self) -> tuple[Vector, ...]:
+        return tuple(self)
 
     @property
     def n_points(self) -> int:
-        return len(self.points)
+        return len(self.numerators)
 
     def __iter__(self):
-        return iter(self.points)
+        q = self.denominator
+        return (tuple(Fraction(v, q) for v in x) for x in self.numerators)
 
     def __len__(self):
-        return len(self.points)
+        return len(self.numerators)
 
     def __eq__(self, other):
-        return isinstance(other, PointSet) and set(self.points) == set(other.points)
+        return isinstance(other, PointSet) and set(self) == set(other)
 
     def __repr__(self):
-        return f"PointSet(n={len(self.points)}, dim={self.dim})"
+        return f"PointSet(n={len(self.numerators)}, dim={self.dim})"
+
+    def products(self, a) -> list:
+        """<a, X> for every numerator vector X, in node order."""
+        return [sum(map(mul, a, x)) for x in self.numerators]
+
+    def plane_values(self, normal) -> list[int]:
+        """The integers <normal, x>, one per node; InvariantViolationError
+        when a node is off the plane family (q does not divide <normal, X>)."""
+        q = self.denominator
+        values = self.products(normal)
+        if any(v % q for v in values):
+            raise InvariantViolationError(
+                f"a node has non-integer product with dual vector {normal}"
+            )
+        return [v // q for v in values]
 
 
 def from_rank1(n: int, generator: Iterable[int]) -> IntegrationLattice:
@@ -231,44 +272,36 @@ def enumerate_points(
 ) -> PointSet:
     """All lattice points in [0,1)^d, exactly, in deterministic order.
 
-    Walks the HNF basis level by level: since the basis is upper triangular
-    with positive diagonal, fixing coordinates left to right turns the cube
-    constraint into one integer interval per level.  Raises CapExceededError
-    when more than `cap` points would be produced (a desk-scale limit, not a
-    failure of the input).
+    Walks the HNF basis, scaled by q to integer rows, level by level: since
+    the basis is upper triangular with positive diagonal, fixing coordinates
+    left to right turns the cube constraint 0 <= X < q into one integer
+    interval per level.  Raises CapExceededError when more than `cap` points
+    would be produced (a desk-scale limit, not a failure of the input).
     """
     if lattice.n_points is not None and lattice.n_points > cap:
         raise CapExceededError(
             f"lattice has {lattice.n_points} points, cap is {cap}"
         )
     d = lattice.dim
-    rows = lattice.basis.rows
-    points: list[Vector] = []
-    shift = [Fraction(0)] * d  # contributions of the fixed levels per coordinate
-    coords: list[Fraction] = []
+    rows, q = lattice.basis.scaled_integer_rows()
+    nodes: list[tuple[int, ...]] = []
 
-    def recurse(level: int):
-        if level == d:
-            points.append(tuple(coords))
-            if len(points) > cap:
-                raise CapExceededError(f"more than {cap} lattice points in the cube")
+    def walk(level: int, v: tuple[int, ...]):
+        # v = the fixed levels' combination of rows; its level-th entry is
+        # the base that 0 <= base + c * pivot < q (pivot > 0) bounds c around
+        row = rows[level]
+        pivot, base = row[level], v[level]
+        cs = range(-(base // pivot), (q - 1 - base) // pivot + 1)
+        if level < d - 1:
+            for c in cs:
+                walk(level + 1, tuple(a + c * b for a, b in zip(v, row)))
             return
-        pivot = rows[level][level]
-        base = shift[level]
-        # 0 <= base + c * pivot < 1 with pivot > 0 bounds c to one interval
-        lo = -(base // pivot)
-        hi = -((base - 1) // pivot) - 1
-        for c in range(lo, hi + 1):
-            coords.append(base + c * pivot)
-            for j in range(level + 1, d):
-                shift[j] += c * rows[level][j]
-            recurse(level + 1)
-            for j in range(level + 1, d):
-                shift[j] -= c * rows[level][j]
-            coords.pop()
+        if len(nodes) + len(cs) > cap:
+            raise CapExceededError(f"more than {cap} lattice points in the cube")
+        nodes.extend(v[:-1] + (base + c * pivot,) for c in cs)
 
-    recurse(0)
-    return PointSet(points, d)
+    walk(0, (0,) * d)
+    return PointSet.from_numerators(nodes, q, d)
 
 
 def to_json(lattice: IntegrationLattice) -> str:
@@ -302,7 +335,7 @@ def from_json(text: str) -> IntegrationLattice:
     """Parse the interchange JSON; raises InputError on malformed input."""
     try:
         payload = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise InputError(f"invalid JSON: {exc}") from exc
     if not isinstance(payload, dict):
         raise InputError("lattice JSON must be an object")

@@ -352,12 +352,7 @@ def covering_family(
     result = spectral_test(lat, svp_cap=svp_cap)
     normal = result.shortest_dual_vector
     points = lattice_mod.enumerate_points(lat, cap=enum_cap)
-    for x in points:
-        value = sum(h * xi for h, xi in zip(normal, x))
-        if Fraction(value).denominator != 1:
-            raise InvariantViolationError(
-                f"node {x} is not on the hyperplane family of {normal}"
-            )
+    points.plane_values(normal)
     return HyperplaneFamily(
         normal=normal,
         spacing_sq=result.sigma_sq,

@@ -21,13 +21,17 @@ inclusion-exclusion form
 zero coordinates of the normal marginalize out, and negative coordinates are
 flipped by the substitution x_i -> 1 - x_i.  Volume is insensitive to the
 open/closed flags; membership tests honor them exactly.
+
+body_contains is the single-point reference; count_inside runs the same test
+over a node set's integer numerators X = q x, against integer thresholds
+derived once per body.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial
+from math import ceil, factorial, floor, lcm
 from typing import Union
 
 from .errors import InputError
@@ -175,12 +179,42 @@ def body_contains(body: ConvexBody, point) -> bool:
     raise InputError(f"unknown body type {type(body).__name__}")
 
 
+def _integer_range(lo: Fraction, hi: Fraction, open_: bool) -> tuple[int, int]:
+    """Inclusive bounds on the integers in (lo, hi) if open_, else [lo, hi]."""
+    if open_:
+        return floor(lo) + 1, ceil(hi) - 1
+    return ceil(lo), floor(hi)
+
+
+def count_inside(points: PointSet, body: ConvexBody) -> int:
+    """Number of nodes x with body_contains(body, x), in integer arithmetic:
+    the normal is cleared of denominators, offsets and corners are scaled by
+    q, and each open or closed side is rounded to the integers it admits."""
+    q = points.denominator
+    if isinstance(body, AxisBox):
+        inside = points.numerators
+        for k, (lo, hi) in enumerate(zip(body.lo, body.hi)):
+            a, b = _integer_range(lo * q, hi * q, body.open)
+            inside = [x for x in inside if a <= x[k] <= b]
+        return len(inside)
+    if not isinstance(body, (Halfspace, Slab)):
+        raise InputError(f"unknown body type {type(body).__name__}")
+    scale = lcm(*(a.denominator for a in body.normal))
+    values = points.products([int(a * scale) for a in body.normal])
+    scale *= q
+    if isinstance(body, Halfspace):
+        t = body.offset * scale
+        _, b = _integer_range(t, t, not body.closed)
+        return sum(1 for v in values if v <= b)
+    a, b = _integer_range(body.lo * scale, body.hi * scale, body.open)
+    return sum(1 for v in values if a <= v <= b)
+
+
 def local_discrepancy(points: PointSet, body: ConvexBody) -> Fraction:
     """Exact signed discrepancy count/N - vol of one convex body."""
     if len(points) == 0:
         raise InputError("empty point set")
-    inside = sum(1 for x in points if body_contains(body, x))
-    return Fraction(inside, len(points)) - body_volume(body)
+    return Fraction(count_inside(points, body), len(points)) - body_volume(body)
 
 
 def body_to_dict(body: ConvexBody) -> dict:

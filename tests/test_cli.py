@@ -239,6 +239,33 @@ class TestErrorPaths:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and "not UTF-8" in err[0]
 
+    def test_deeply_nested_json_exit_2(self, capsys, tmp_path):
+        path = tmp_path / "deep.json"
+        path.write_text("[" * 100000)
+        assert cli.main(["spectral", "--in", str(path)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("latdisc: input error:")
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["points", "--family", "fibonacci", "--m", "5", "--cap", "-1"],
+            ["verify", "--family", "fibonacci", "--m", "5", "--cap", "-1"],
+            ["spectral", "--family", "fibonacci", "--m", "5", "--svp-cap", "-1"],
+            ["search", "--n", "5", "--d", "2", "--svp-cap", "-1"],
+        ],
+    )
+    def test_negative_cap_exit_2(self, capsys, args):
+        assert cli.main(args) == 2
+        err = capsys.readouterr().err.splitlines()
+        flag = "--cap" if "--cap" in args else "--svp-cap"
+        assert err == [f"latdisc: input error: {flag} must be nonnegative, got -1"]
+
+    def test_zero_cap_is_a_cap_overrun(self, capsys):
+        lat = ["--family", "fibonacci", "--m", "5"]
+        assert cli.main(["points", *lat, "--cap", "0"]) == 3
+        assert cli.main(["spectral", *lat, "--svp-cap", "0"]) == 3
+
     def test_missing_file_exit_2(self, capsys, tmp_path):
         assert cli.main(["spectral", "--in", str(tmp_path / "absent.json")]) == 2
 

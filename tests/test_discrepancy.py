@@ -5,8 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from latdisc import discrepancy, lattice, volume
-from latdisc.errors import CapExceededError, InputError
+from latdisc import discrepancy, lattice, reduction, volume
+from latdisc.errors import CapExceededError, InputError, InvariantViolationError
 
 F = Fraction
 
@@ -14,6 +14,68 @@ F = Fraction
 def _rule(n, g):
     lat = lattice.from_rank1(n, g)
     return lat, lattice.enumerate_points(lat)
+
+
+def _replace_node(pts, point):
+    """A point set of the same size with the first node replaced by point."""
+    nodes = list(pts)
+    nodes[0] = point
+    return lattice.PointSet(nodes, pts.dim)
+
+
+def _off_family_set(lat, pts):
+    # shift one node along x1 by 1/(2N): <h, x> moves by h1/(2N), not an integer
+    h = reduction.spectral_test(lat).shortest_dual_vector
+    assert h[0] != 0 and h[0] % (2 * len(pts)) != 0
+    x = list(pts)[0]
+    return _replace_node(pts, (x[0] + F(1, 2 * len(pts)), *x[1:]))
+
+
+def _in_slab_set(lat, pts):
+    slab = discrepancy.slab_certificate(lat, pts).body
+    m = 4 * len(pts)
+    point = next(
+        (F(i, m), F(j, m))
+        for i in range(m)
+        for j in range(m)
+        if volume.body_contains(slab, (F(i, m), F(j, m)))
+    )
+    return _replace_node(pts, point)
+
+
+class TestLiteralRecheck:
+    """The certificates re-check every node, so a bad node set is caught."""
+
+    BAD_SETS = [_off_family_set, _in_slab_set]
+
+    @pytest.mark.parametrize("bad_set", BAD_SETS, ids=lambda f: f.__name__)
+    def test_plane_count_certificate_catches_bad_node(self, bad_set):
+        lat, pts = _rule(21, (1, 13))
+        bad = bad_set(lat, pts)
+        with pytest.raises(InvariantViolationError):
+            discrepancy.hyperplane_count_certificate(lat, bad)
+
+    def test_slab_certificate_catches_node_in_empty_slab(self):
+        lat, pts = _rule(21, (1, 13))
+        bad = _in_slab_set(lat, pts)
+        with pytest.raises(InvariantViolationError):
+            discrepancy.slab_certificate(lat, bad)
+        with pytest.raises(InvariantViolationError):
+            discrepancy.estimate_isotropic_discrepancy(bad, budget=10, lat=lat)
+
+    @pytest.mark.parametrize("bad_set", BAD_SETS, ids=lambda f: f.__name__)
+    def test_covering_family_catches_bad_node(self, bad_set, monkeypatch):
+        lat, pts = _rule(21, (1, 13))
+        bad = bad_set(lat, pts)
+        monkeypatch.setattr(lattice, "enumerate_points", lambda lat, cap: bad)
+        with pytest.raises(InvariantViolationError):
+            reduction.covering_family(lat)
+
+    def test_good_node_set_passes(self):
+        lat, pts = _rule(21, (1, 13))
+        same = lattice.PointSet(list(pts), 2)
+        discrepancy.hyperplane_count_certificate(lat, same)
+        discrepancy.slab_certificate(lat, same)
 
 
 class TestSlabCertificate:

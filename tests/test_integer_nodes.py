@@ -1,0 +1,151 @@
+"""Integer node arithmetic against the literal rational definitions.
+
+Nodes are integer numerators over a shared denominator, and every per-node
+pass compares integers against thresholds scaled once per body.  These
+properties pin that to the rational reference on the cases that matter:
+rank-1 rules with gcd > 1 and g[0] != 1, re-presented bases, relaxed
+lattices, and bodies whose offsets and corners sit exactly on node values,
+open and closed.
+"""
+
+from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from latdisc import lattice, linalg, volume
+from latdisc.volume import AxisBox, Halfspace, Slab
+
+F = Fraction
+CAP = 5000
+
+
+def _fraction_walk(lat):
+    """The HNF walk in Fraction arithmetic: the reference node order."""
+    d = lat.dim
+    rows = lat.basis.rows
+    points = []
+    shift = [F(0)] * d
+    coords = []
+
+    def recurse(level):
+        if level == d:
+            points.append(tuple(coords))
+            return
+        pivot = rows[level][level]
+        base = shift[level]
+        lo = -(base // pivot)
+        hi = -((base - 1) // pivot) - 1
+        for c in range(lo, hi + 1):
+            coords.append(base + c * pivot)
+            for j in range(level + 1, d):
+                shift[j] += c * rows[level][j]
+            recurse(level + 1)
+            for j in range(level + 1, d):
+                shift[j] -= c * rows[level][j]
+            coords.pop()
+
+    recurse(0)
+    return points
+
+
+@st.composite
+def rank1_rules(draw):
+    d = draw(st.integers(1, 3))
+    n = draw(st.integers(1, 60))
+    g = draw(st.lists(st.integers(0, 2 * n), min_size=d, max_size=d))
+    return lattice.from_rank1(n, g)
+
+
+@st.composite
+def unimodular(draw, d):
+    u = [[int(i == j) for j in range(d)] for i in range(d)]
+    for _ in range(draw(st.integers(0, 6))):
+        i = draw(st.integers(0, d - 1))
+        j = draw(st.integers(0, d - 1))
+        if i != j:
+            k = draw(st.integers(-3, 3))
+            u[i] = [a + k * b for a, b in zip(u[i], u[j])]
+    return u
+
+
+@st.composite
+def represented_rules(draw):
+    """A rank-1 rule handed in as a non-canonical basis of the same lattice."""
+    lat = draw(rank1_rules())
+    u = draw(unimodular(lat.dim))
+    rows = (linalg.RationalMatrix(u) @ lat.basis).rows
+    return lattice.from_basis(rows)
+
+
+@st.composite
+def relaxed_lattices(draw):
+    d = draw(st.integers(1, 3))
+    s = draw(st.integers(1, 4))
+    m = draw(
+        st.lists(
+            st.lists(st.integers(-3, 3), min_size=d, max_size=d),
+            min_size=d,
+            max_size=d,
+        ).filter(lambda m: linalg.det(linalg.RationalMatrix(m)) != 0)
+    )
+    return lattice.from_basis([[F(x, s) for x in row] for row in m], relaxed=True)
+
+
+lattices = st.one_of(rank1_rules(), represented_rules(), relaxed_lattices())
+
+
+@st.composite
+def normals(draw, d):
+    entries = st.fractions(min_value=-4, max_value=4, max_denominator=5)
+    return tuple(draw(st.lists(entries, min_size=d, max_size=d).filter(any)))
+
+
+@st.composite
+def lattices_with_bodies(draw):
+    lat = draw(lattices)
+    nodes = _fraction_walk(lat)
+    d = lat.dim
+    node = st.sampled_from(nodes)
+    shape = draw(st.sampled_from(["halfspace", "slab", "box"]))
+    closed = draw(st.booleans())
+    if shape == "box":
+        corners = [draw(node), draw(node)]
+        if draw(st.booleans()):
+            corners[1] = tuple(F(1) for _ in range(d))
+        lo = tuple(min(a, b) for a, b in zip(*corners))
+        hi = tuple(max(a, b) for a, b in zip(*corners))
+        return lat, AxisBox(lo, hi, open=not closed)
+    a = draw(normals(d))
+    value = lambda x: sum(c * xi for c, xi in zip(a, x))
+    if shape == "halfspace":
+        return lat, Halfspace(a, value(draw(node)), closed=closed)
+    lo, hi = sorted((value(draw(node)), value(draw(node))))
+    if lo == hi:
+        closed = True
+    return lat, Slab(a, lo, hi, open=not closed)
+
+
+class TestIntegerNodes:
+    @given(lattices)
+    @settings(max_examples=150, deadline=None)
+    def test_enumeration_matches_fraction_walk(self, lat):
+        pts = lattice.enumerate_points(lat, cap=CAP)
+        reference = _fraction_walk(lat)
+        assert list(pts) == reference
+        assert pts.points == tuple(reference)
+        assert pts == lattice.PointSet(reference, lat.dim)
+        q = pts.denominator
+        assert all(0 <= v < q for x in pts.numerators for v in x)
+
+    @given(lattices_with_bodies())
+    @settings(max_examples=300, deadline=None)
+    def test_counts_match_literal_membership(self, lat_body):
+        lat, body = lat_body
+        pts = lattice.enumerate_points(lat, cap=CAP)
+        literal = sum(volume.body_contains(body, x) for x in pts)
+        expected = F(literal, len(pts)) - volume.body_volume(body)
+        # the rational constructor picks its own shared denominator
+        for node_set in (pts, lattice.PointSet(list(pts), lat.dim)):
+            assert volume.count_inside(node_set, body) == literal
+            assert volume.local_discrepancy(node_set, body) == expected
