@@ -6,8 +6,8 @@ roots, pi, Gamma at half-integers) are handled as two-sided rational
 enclosures with directed rounding, so every printed digit and every
 inequality verdict is certified.
 
-The integer kernels (Gauss and LLL reduction, brute-force search boxes) are
-plain Python; `kernel_implementation` is the constant "pure", kept so that
+The integer kernels (Gauss and LLL reduction, shortest-vector enumeration)
+are plain Python; `kernel_implementation` is the constant "pure", kept so that
 recorded results can say which kernels produced them.
 """
 

@@ -28,6 +28,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 
@@ -285,21 +286,32 @@ def _cmd_spectral(args) -> int:
     return EXIT_OK
 
 
+def _point_strings(pts) -> list[list[str]]:
+    """Each node's coordinates as str(Fraction) would print them, rendered
+    from the integer numerators with one gcd per distinct numerator."""
+    q = pts.denominator
+    text = {}
+    for x in {x for p in pts.numerators for x in p}:
+        g = math.gcd(x, q)
+        text[x] = str(x // g) if g == q else f"{x // g}/{q // g}"
+    return [[text[x] for x in p] for p in pts.numerators]
+
+
 def _cmd_points(args) -> int:
     lat = _lattice_from_args(args)
     pts = lattice_mod.enumerate_points(lat, cap=args.cap)
+    rows = _point_strings(pts)
     if args.format == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow([f"x{i + 1}" for i in range(lat.dim)])
-        for p in pts:
-            writer.writerow([str(c) for c in p])
+        writer.writerows(rows)
         _write_text(args, buf.getvalue())
         return EXIT_OK
     result = {
         "dim": lat.dim,
         "n_points": len(pts),
-        "points": [[str(c) for c in p] for p in pts],
+        "points": rows,
     }
     params = {"lattice": lat.spec_string(), "cap": args.cap}
     _emit_json(args, "points", params, result)

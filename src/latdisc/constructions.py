@@ -112,6 +112,7 @@ def _dual_rows_unit_leading(n: int, g) -> list[list[int]]:
 
 
 def _generators(n: int, d: int, mode: str):
+    # strictly increasing lexicographic order, which korobov_search relies on
     if mode == "korobov":
         for a in range(1, n):
             g = [1]
@@ -173,6 +174,12 @@ def korobov_search(
     of the shortest dual vector; ties prefer the lexicographically smallest
     generator.  The winner is re-verified through the full dual + spectral
     pipeline before being returned.
+
+    Generators come in strictly increasing lexicographic order, so a later
+    one wins only with a strictly larger minimum: each candidate's SVP gets
+    the incumbent's squared norm as `beat` and stops at the first nonzero
+    dual vector no longer than that (branch and bound, as in L'Ecuyer and
+    Couture's spectral-test search).  LLL still runs once per generator.
     """
     if not _is_prime(n):
         raise InputError(f"generator search needs a prime modulus, got {n}")
@@ -187,11 +194,11 @@ def korobov_search(
     searched = 0
     for g in _generators(n, d, mode):
         searched += 1
-        _, norm = reduction._shortest_vector_int(_dual_rows_unit_leading(n, g))
-        if best_norm is None or norm > best_norm or (
-            norm == best_norm and tuple(g) < best_g
-        ):
-            best_norm = norm
+        found = reduction._shortest_vector_int(
+            _dual_rows_unit_leading(n, g), beat=best_norm
+        )
+        if found is not None:
+            best_norm = found[1]
             best_g = tuple(g)
     check = reduction.spectral_test(
         from_rank1(n, best_g), digits=digits, svp_cap=svp_cap

@@ -1,13 +1,15 @@
 """Integer lattice kernels.
 
-These are the inner loops of the whole package: basis reduction and the
-brute-force search boxes used as independent oracles.  Everything works on
-plain Python ints (arbitrary precision, no overflow by construction) and is
-deterministic.
+These are the inner loops of the whole package: basis reduction, the
+integral Gram-Schmidt data both LLL and the enumeration work on, and the
+exact shortest-vector enumeration.  Everything works on plain Python ints
+(arbitrary precision, no overflow by construction) and is deterministic.
 
 All functions take and return lists of ints.  None of them knows about
 Fractions or lattices; callers scale rational bases to integers first.
 """
+
+from math import isqrt, lcm
 
 
 def _dot(u, v):
@@ -20,12 +22,6 @@ def _dot(u, v):
 def _round_div(a, b):
     # nearest integer to a/b for b > 0, ties rounded toward +infinity
     return (2 * a + b) // (2 * b)
-
-
-def _gcd(a, b):
-    while b:
-        a, b = b, a % b
-    return a
 
 
 def gauss_reduce_2d(rows):
@@ -56,11 +52,41 @@ def gauss_reduce_2d(rows):
     return [u, v]
 
 
+def canonical_sign(vec):
+    """vec or -vec as a tuple, whichever has a positive first nonzero entry."""
+    return tuple(vec) if next(x for x in vec if x) > 0 else tuple(-x for x in vec)
+
+
 def _exact_div(a, b):
     q, r = divmod(a, b)
     if r:
         raise ArithmeticError("inexact division in all-integer LLL (bug)")
     return q
+
+
+def integral_gso(rows):
+    """Integral Gram-Schmidt data of independent integer rows.
+
+    Returns (d, lam): d[i] is the Gram determinant of the first i rows
+    (d[0] = 1, d[i + 1] / d[i] = ||b*_i||^2) and lam[i][j] = d[j + 1] * mu_{i,j}
+    for j < i, all integers; every division below is exact.  Raises
+    ValueError on dependent rows.
+    """
+    n = len(rows)
+    d = [1] + [0] * n
+    lam = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1):
+            u = _dot(rows[i], rows[j])
+            for k in range(j):
+                u = _exact_div(d[k + 1] * u - lam[i][k] * lam[j][k], d[k])
+            if j < i:
+                lam[i][j] = u
+            elif u <= 0:
+                raise ValueError("dependent rows in LLL input")
+            else:
+                d[i + 1] = u
+    return d, lam
 
 
 def lll_reduce(rows, delta_num=3, delta_den=4):
@@ -79,20 +105,7 @@ def lll_reduce(rows, delta_num=3, delta_den=4):
     n = len(b)
     if n == 1:
         return b
-    d = [0] * (n + 1)
-    d[0] = 1
-    lam = [[0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1):
-            u = _dot(b[i], b[j])
-            for k in range(j):
-                u = _exact_div(d[k + 1] * u - lam[i][k] * lam[j][k], d[k])
-            if j < i:
-                lam[i][j] = u
-            else:
-                if u <= 0:
-                    raise ValueError("dependent rows in LLL input")
-                d[i + 1] = u
+    d, lam = integral_gso(b)
 
     def reduce_row(k, l):
         # size reduction: make |mu_{k,l}| <= 1/2, i.e. 2|lambda| <= d[l+1]
@@ -130,95 +143,55 @@ def lll_reduce(rows, delta_num=3, delta_den=4):
     return b
 
 
-def min_norm_in_coeff_box(rows, widths):
-    """Minimum squared norm over nonzero integer combinations c . rows with
-    |c_i| <= widths[i].
+def shortest_vectors(rows, beat=None):
+    """Exact shortest nonzero vectors of the lattice spanned by independent
+    integer rows (LLL-reduce them first to keep the search tree small).
 
-    Returns (vector, norm_sq) for the first minimizer in scan order.  Only
-    combinations whose first nonzero coefficient is positive are scanned
-    (the box is symmetric, so this loses nothing).  Raises ValueError if the
-    box contains no nonzero combination.
+    Fincke-Pohst enumeration on integral_gso data: with S_i = sum_{j>i}
+    c_j lam[j][i], level i adds (c_i d[i+1] + S_i)^2 / (d[i] d[i+1]) to the
+    squared norm of sum_i c_i rows[i].  Partial sums are scaled by
+    m = lcm_i(d[i] d[i+1]), so with w_i = m / (d[i] d[i+1]) the interval
+    |c_i d[i+1] + S_i| <= isqrt((R m - partial) // w_i) is exact for radius R.
+
+    Returns (min_norm_sq, ties), ties being every minimal vector with its
+    first nonzero coordinate positive, sorted; or None, when `beat` is set,
+    as soon as a nonzero vector of squared norm <= beat turns up.
     """
+    best = min(_dot(row, row) for row in rows)
+    if beat is not None and best <= beat:
+        return None
     n = len(rows)
-    dim = len(rows[0])
-    best_norm = None
-    best_vec = None
-    vec = [0] * dim
+    d, lam = integral_gso(rows)
+    m = lcm(*(d[i] * d[i + 1] for i in range(n)))
+    w = [m // (d[i] * d[i + 1]) for i in range(n)]
+    coeff = [0] * n
+    ties = set()
 
-    def recurse(level, any_nonzero):
-        nonlocal best_norm, best_vec
-        if level == n:
-            if not any_nonzero:
-                return
-            norm = 0
-            for x in vec:
-                norm += x * x
-            if best_norm is None or norm < best_norm:
-                best_norm = norm
-                best_vec = vec[:]
-            return
-        row = rows[level]
-        w = widths[level]
-        lo = 0 if not any_nonzero else -w
-        saved = vec[:]
-        for c in range(lo, w + 1):
-            if c == 0:
-                vec[:] = saved
-            else:
-                for i in range(dim):
-                    vec[i] = saved[i] + c * row[i]
-            recurse(level + 1, any_nonzero or c != 0)
-        vec[:] = saved
+    def descend(i, partial, all_zero):
+        # True once a vector of squared norm <= beat is known
+        nonlocal best, ties
+        rem = best * m - partial
+        if rem < 0 or (i < 0 and all_zero):
+            return False
+        if i < 0:
+            norm = partial // m
+            if beat is not None and norm <= beat:
+                return True
+            if norm < best:
+                best, ties = norm, set()
+            ties.add(canonical_sign([_dot(coeff, col) for col in zip(*rows)]))
+            return False
+        s = sum(coeff[j] * lam[j][i] for j in range(i + 1, n))
+        t = isqrt(rem // w[i])
+        step = d[i + 1]
+        lo = 0 if all_zero else -((t + s) // step)
+        for c in range(lo, (t - s) // step + 1):
+            coeff[i] = c
+            if descend(i - 1, partial + w[i] * (c * step + s) ** 2, all_zero and c == 0):
+                return True
+        coeff[i] = 0
+        return False
 
-    recurse(0, False)
-    if best_norm is None:
-        raise ValueError("coefficient box contains no nonzero vector")
-    return best_vec, best_norm
-
-
-def rank1_dual_min_in_box(n, g, width):
-    """Minimum squared norm over nonzero integer h with |h_i| <= width and
-    h . g == 0 (mod n)  --  a literal scan of the dual of the rank-1 lattice
-    generated by g/n, restricted to a box.
-
-    Returns (vector, norm_sq) for the first minimizer in scan order.
-    Raises ValueError if no nonzero dual vector lies in the box.
-    """
-    if n <= 0:
-        raise ValueError("modulus must be positive")
-    d = len(g)
-    g0 = g[0] % n
-    shared = _gcd(g0, n)
-    modulus = n // shared
-    # g0 * h0 == -acc (mod n) is solvable iff shared | acc, and then
-    # h0 == r0 (mod modulus) with r0 below.
-    g0_inv = pow(g0 // shared, -1, modulus) if modulus > 1 else 0
-    best_norm = None
-    best_vec = None
-    h = [0] * d
-
-    def recurse(level, acc, tail_norm):
-        # acc = sum of g[i]*h[i] over already-fixed coordinates 1..level-1
-        nonlocal best_norm, best_vec
-        if level == d:
-            if acc % shared != 0:
-                return
-            r0 = ((-acc // shared) * g0_inv) % modulus
-            h0 = ((r0 + width) % modulus) - width
-            while h0 <= width:
-                if h0 != 0 or tail_norm != 0:
-                    norm = h0 * h0 + tail_norm
-                    if best_norm is None or norm < best_norm:
-                        best_norm = norm
-                        best_vec = [h0] + h[1:]
-                h0 += modulus
-            return
-        for c in range(-width, width + 1):
-            h[level] = c
-            recurse(level + 1, acc + g[level] * c, tail_norm + c * c)
-        h[level] = 0
-
-    recurse(1, 0, 0)
-    if best_norm is None:
-        raise ValueError("no nonzero dual vector in the box")
-    return best_vec, best_norm
+    if descend(n - 1, 0, True):
+        return None
+    return best, sorted(ties)

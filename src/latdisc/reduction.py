@@ -11,15 +11,18 @@ sigma(L) apart, so a large sigma certifies a coarse hyperplane structure.
 
 Everything here is exact.  LLL reduction runs in all-integer arithmetic on a
 scaled copy of the basis and its defining inequalities are re-checked on the
-output (rather than trusted); the shortest vector comes from a
-Fincke-Pohst-style enumeration whose interval bounds are derived with
-integer square roots, never floats.  Squared norms are the working currency
-throughout, which keeps every comparison rational.
+output (rather than trusted).  The shortest vector comes from a
+Fincke-Pohst enumeration over the reduced basis that runs in integers only:
+it works on the same integral Gram-Schmidt data as LLL (Gram determinants
+d_i and lambda_ij = d_{j+1} mu_ij), scales every partial squared norm by one
+common multiple of the d_i d_{i+1}, and bounds each coefficient with an
+integer square root, so no Fraction and no float enters the tree.  Squared
+norms are the working currency throughout, which keeps every comparison
+exact.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -136,125 +139,46 @@ def lll_reduce(basis: RationalMatrix, delta: Fraction = Fraction(3, 4)) -> Reduc
 # exact shortest vector
 # ---------------------------------------------------------------------------
 
-def _canonical_sign(vec):
-    for x in vec:
-        if x != 0:
-            return tuple(vec) if x > 0 else tuple(-y for y in vec)
-    raise InvariantViolationError("zero vector reached sign canonicalization")
-
-
-def _max_shift(center: Fraction, rem: Fraction, norm_sq: Fraction) -> int:
-    """Largest integer t with (t - center)^2 * norm_sq <= rem, or, when no
-    integer satisfies it, a value below every integer that would."""
-    ratio = rem / norm_sq
-    s = math.isqrt(ratio.numerator * ratio.denominator) // ratio.denominator
-    cand = math.floor(center) + s + 2
-    stop = math.floor(center) - s - 2
-    while cand >= stop and (cand - center) ** 2 * norm_sq > rem:
-        cand -= 1
-    return cand
-
-
-def _enumerate_min_vectors(rows: list[list[int]]) -> tuple[int, list[tuple[int, ...]]]:
-    """Exact shortest-vector enumeration over an integer basis (ideally
-    LLL-reduced first, which keeps the search tree small).
-
-    Returns (min_norm_sq, ties) where ties are all sign-canonicalized
-    minimal vectors in deterministic order.
-    """
-    n = len(rows)
-    frac_rows = RationalMatrix(rows)
-    gso, mu_mat = linalg.gram_schmidt(frac_rows)
-    star = [dot(r, r) for r in gso.rows]
-    mu = mu_mat.rows
-
-    best = min(sum(x * x for x in row) for row in rows)
-    ties: list[tuple[int, ...]] = []
-    coeff = [0] * n
-
-    def leaf():
-        nonlocal best, ties
-        vec = [0] * len(rows[0])
-        for j in range(n):
-            cj = coeff[j]
-            if cj:
-                row = rows[j]
-                for t in range(len(vec)):
-                    vec[t] += cj * row[t]
-        norm = sum(x * x for x in vec)
-        if norm == 0:
-            return
-        if norm < best:
-            best = norm
-            ties = [_canonical_sign(vec)]
-        elif norm == best:
-            canon = _canonical_sign(vec)
-            if canon not in ties:
-                ties.append(canon)
-
-    def recurse(i: int, partial: Fraction, tail_zero: bool):
-        if i < 0:
-            if not tail_zero:
-                leaf()
-            return
-        center = -sum(coeff[j] * mu[j][i] for j in range(i + 1, n))
-        rem = best - partial
-        if rem < 0:
-            return
-        hi = _max_shift(center, rem, star[i])
-        lo = -_max_shift(-center, rem, star[i])
-        if tail_zero:
-            lo = max(lo, 0)
-        for ci in range(lo, hi + 1):
-            contribution = (ci - center) ** 2 * star[i]
-            if partial + contribution > best:
-                continue
-            coeff[i] = ci
-            recurse(i - 1, partial + contribution, tail_zero and ci == 0)
-        coeff[i] = 0
-
-    recurse(n - 1, Fraction(0), True)
-    if not ties:
-        raise InvariantViolationError("shortest-vector enumeration found nothing")
-    return best, sorted(ties)
-
-
-def _shortest_vector_int(rows: list[list[int]]) -> tuple[tuple[int, ...], int]:
-    """Shortest nonzero vector of the integer lattice spanned by `rows`.
+def _shortest_vector_int(
+    rows: list[list[int]], beat: int | None = None
+) -> tuple[tuple[int, ...], int] | None:
+    """Shortest nonzero vector of the integer lattice spanned by `rows`, as
+    (vector, norm_sq).
 
     Ties are broken deterministically: among all minimal vectors, after
     flipping signs so the first nonzero coordinate is positive, the
-    lexicographically smallest is returned.
+    lexicographically smallest is returned.  With `beat` set, returns None
+    as soon as the lattice is known to hold a nonzero vector of squared
+    norm <= beat: right after LLL when a reduced row qualifies, else at the
+    first such vector the enumeration reaches.
     """
     n = len(rows)
     if n == 1:
-        vec = _canonical_sign(rows[0])
-        if all(x == 0 for x in vec):
+        if not any(rows[0]):
             raise InputError("zero row is not a lattice basis")
-        return vec, sum(x * x for x in vec)
-    if n == 2:
+        vec = kernels.canonical_sign(rows[0])
+        least = sum(x * x for x in vec)
+    elif n == 2:
         try:
             u, v = kernels.gauss_reduce_2d(rows)
         except ValueError as exc:
             raise InputError(str(exc)) from exc
-        candidates = [
-            u,
-            v,
-            [a + b for a, b in zip(u, v)],
-            [a - b for a, b in zip(u, v)],
-        ]
+        candidates = [u, v] + [[a + s * b for a, b in zip(u, v)] for s in (1, -1)]
         norms = [sum(x * x for x in c) for c in candidates]
         least = min(norms)
-        ties = sorted(
-            {_canonical_sign(c) for c, nm in zip(candidates, norms) if nm == least}
-        )
-        return ties[0], least
-    try:
-        reduced = kernels.lll_reduce(rows)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
-    least, ties = _enumerate_min_vectors(reduced)
-    return ties[0], least
+        vec = min(kernels.canonical_sign(c) for c, nm in zip(candidates, norms) if nm == least)
+    else:
+        try:
+            reduced = kernels.lll_reduce(rows)
+        except ValueError as exc:
+            raise InputError(str(exc)) from exc
+        found = kernels.shortest_vectors(reduced, beat)
+        if found is None:
+            return None
+        least, (vec, *_) = found
+    if beat is not None and least <= beat:
+        return None
+    return vec, least
 
 
 def shortest_vector(

@@ -1,0 +1,210 @@
+"""Integer shortest-vector enumeration and the generator search's early abort.
+
+The production enumeration (`kernels.shortest_vectors`) runs on integral
+Gram-Schmidt data.  The reference below enumerates over Fraction
+Gram-Schmidt data with Fraction interval bounds (`_max_shift`); the two must
+agree on the minimum and on the sorted sign-canonical minimal vectors.
+"""
+
+import math
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from latdisc import constructions, kernels, linalg, reduction
+from latdisc.errors import InvariantViolationError
+from latdisc.linalg import RationalMatrix, dot
+
+_canonical_sign = kernels.canonical_sign
+
+
+# ---------------------------------------------------------------------------
+# the Fraction reference
+# ---------------------------------------------------------------------------
+
+def _max_shift(center: Fraction, rem: Fraction, norm_sq: Fraction) -> int:
+    """Largest integer t with (t - center)^2 * norm_sq <= rem, or, when no
+    integer satisfies it, a value below every integer that would."""
+    ratio = rem / norm_sq
+    s = math.isqrt(ratio.numerator * ratio.denominator) // ratio.denominator
+    cand = math.floor(center) + s + 2
+    stop = math.floor(center) - s - 2
+    while cand >= stop and (cand - center) ** 2 * norm_sq > rem:
+        cand -= 1
+    return cand
+
+
+def _enumerate_min_vectors(rows: list[list[int]]) -> tuple[int, list[tuple[int, ...]]]:
+    """Exact shortest-vector enumeration over an integer basis (ideally
+    LLL-reduced first, which keeps the search tree small).
+
+    Returns (min_norm_sq, ties) where ties are all sign-canonicalized
+    minimal vectors in deterministic order.
+    """
+    n = len(rows)
+    frac_rows = RationalMatrix(rows)
+    gso, mu_mat = linalg.gram_schmidt(frac_rows)
+    star = [dot(r, r) for r in gso.rows]
+    mu = mu_mat.rows
+
+    best = min(sum(x * x for x in row) for row in rows)
+    ties: list[tuple[int, ...]] = []
+    coeff = [0] * n
+
+    def leaf():
+        nonlocal best, ties
+        vec = [0] * len(rows[0])
+        for j in range(n):
+            cj = coeff[j]
+            if cj:
+                row = rows[j]
+                for t in range(len(vec)):
+                    vec[t] += cj * row[t]
+        norm = sum(x * x for x in vec)
+        if norm == 0:
+            return
+        if norm < best:
+            best = norm
+            ties = [_canonical_sign(vec)]
+        elif norm == best:
+            canon = _canonical_sign(vec)
+            if canon not in ties:
+                ties.append(canon)
+
+    def recurse(i: int, partial: Fraction, tail_zero: bool):
+        if i < 0:
+            if not tail_zero:
+                leaf()
+            return
+        center = -sum(coeff[j] * mu[j][i] for j in range(i + 1, n))
+        rem = best - partial
+        if rem < 0:
+            return
+        hi = _max_shift(center, rem, star[i])
+        lo = -_max_shift(-center, rem, star[i])
+        if tail_zero:
+            lo = max(lo, 0)
+        for ci in range(lo, hi + 1):
+            contribution = (ci - center) ** 2 * star[i]
+            if partial + contribution > best:
+                continue
+            coeff[i] = ci
+            recurse(i - 1, partial + contribution, tail_zero and ci == 0)
+        coeff[i] = 0
+
+    recurse(n - 1, Fraction(0), True)
+    if not ties:
+        raise InvariantViolationError("shortest-vector enumeration found nothing")
+    return best, sorted(ties)
+
+
+# ---------------------------------------------------------------------------
+# bases
+# ---------------------------------------------------------------------------
+
+@st.composite
+def random_bases(draw, dims=(3, 6)):
+    d = draw(st.integers(*dims))
+    rows = draw(
+        st.lists(
+            st.lists(st.integers(-40, 40), min_size=d, max_size=d),
+            min_size=d,
+            max_size=d,
+        ).filter(lambda rows: linalg.det(RationalMatrix(rows)) != 0)
+    )
+    return rows
+
+
+@st.composite
+def rank1_dual_bases(draw, dims=(3, 6)):
+    d = draw(st.integers(*dims))
+    n = draw(st.integers(2, 5000))
+    g = [1] + draw(st.lists(st.integers(1, n - 1), min_size=d - 1, max_size=d - 1))
+    return constructions._dual_rows_unit_leading(n, g)
+
+
+any_basis = st.one_of(random_bases(), rank1_dual_bases())
+
+
+class TestIntegralGSO:
+    @given(random_bases(dims=(1, 6)))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_fraction_gram_schmidt(self, rows):
+        d, lam = kernels.integral_gso(rows)
+        gso, mu = linalg.gram_schmidt(RationalMatrix(rows))
+        assert d[0] == 1
+        for i, star in enumerate(gso.rows):
+            assert Fraction(d[i + 1], d[i]) == dot(star, star)
+            for j in range(i):
+                assert lam[i][j] == d[j + 1] * mu[i, j]
+
+    def test_dependent_rows_rejected(self):
+        with pytest.raises(ValueError):
+            kernels.integral_gso([[1, 2, 3], [2, 4, 6], [0, 0, 1]])
+
+
+class TestIntegerEnumeration:
+    @given(any_basis)
+    @settings(max_examples=300, deadline=None)
+    def test_equals_fraction_reference(self, rows):
+        reduced = kernels.lll_reduce(rows)
+        assert kernels.shortest_vectors(reduced) == _enumerate_min_vectors(reduced)
+
+    def test_cubic_lattice_ties(self):
+        least, ties = kernels.shortest_vectors([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+        assert (least, ties) == (1, [(0, 0, 1), (0, 1, 0), (1, 0, 0)])
+
+
+class TestBeat:
+    @given(st.one_of(random_bases(dims=(1, 5)), rank1_dual_bases()), st.integers(0, 3))
+    @settings(max_examples=200, deadline=None)
+    def test_abort_only_when_beaten(self, rows, slack):
+        full = reduction._shortest_vector_int(rows)
+        least = full[1]
+        assert reduction._shortest_vector_int(rows, beat=least - 1 - slack) == full
+        assert reduction._shortest_vector_int(rows, beat=least + slack) is None
+
+    def test_zero_beat_never_aborts(self):
+        rows = [[5, 0, 0], [0, 7, 0], [0, 0, 9]]
+        assert reduction._shortest_vector_int(rows, beat=0) == ((5, 0, 0), 25)
+
+
+class TestGeneratorSearch:
+    @pytest.mark.parametrize("mode", ["korobov", "exhaustive"])
+    @pytest.mark.parametrize("n,d", [(13, 3), (31, 3), (7, 4), (11, 5)])
+    def test_generators_strictly_increasing(self, n, d, mode):
+        gens = [tuple(g) for g in constructions._generators(n, d, mode)]
+        assert all(a < b for a, b in zip(gens, gens[1:]))
+
+    @pytest.mark.parametrize("mode", ["korobov", "exhaustive"])
+    @pytest.mark.parametrize("d", [3, 4])
+    @pytest.mark.parametrize("n", [13, 29, 31])
+    def test_search_equals_unpruned_scan(self, n, d, mode):
+        best = None
+        searched = 0
+        for g in constructions._generators(n, d, mode):
+            searched += 1
+            _, norm = reduction._shortest_vector_int(
+                constructions._dual_rows_unit_leading(n, g)
+            )
+            key = (-norm, tuple(g))
+            if best is None or key < best:
+                best = key
+        r = constructions.korobov_search(n, d, mode)
+        assert (r.generator, r.norm_sq, r.n_searched) == (best[1], -best[0], searched)
+
+    def test_one_lll_per_generator(self, monkeypatch):
+        # the search may cut enumeration short, but never LLL: each
+        # generator costs one reduction, plus one for re-verifying the winner
+        calls = []
+        original = kernels.lll_reduce
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(kernels, "lll_reduce", counting)
+        r = constructions.korobov_search(31, 3)
+        assert len(calls) == r.n_searched + 1

