@@ -39,7 +39,6 @@ from .lattice import (
 from .reduction import (
     ReducedBasis,
     SpectralResult,
-    covering_family,
     lll_reduce,
     shortest_vector,
     spectral_test,
@@ -122,7 +121,6 @@ __all__ = [
     "shortest_vector",
     "SpectralResult",
     "spectral_test",
-    "covering_family",
     "unit_cell_diameter_bound",
     # bodies and volumes
     "Halfspace",

@@ -226,17 +226,18 @@ def _lattice_from_args(args) -> lattice_mod.IntegrationLattice:
 
 
 def _digits_for(args) -> int:
-    if getattr(args, "digits", None) is not None:
-        return args.digits
+    digits = getattr(args, "digits", None)
     env = os.environ.get("LATDISC_PRECISION")
-    if env is not None and env != "":
+    if digits is None and env:
         try:
-            return int(env)
+            digits = int(env)
         except ValueError as exc:
             raise InputError(
                 f"LATDISC_PRECISION must be an integer, got {env!r}"
             ) from exc
-    return directed.DEFAULT_DIGITS
+    return directed._check_digits(
+        directed.DEFAULT_DIGITS if digits is None else digits
+    )
 
 
 def _write_text(args, text: str) -> None:
@@ -322,17 +323,16 @@ def _cmd_certify(args) -> int:
     lat = _lattice_from_args(args)
     digits = _digits_for(args)
     pts = lattice_mod.enumerate_points(lat, cap=args.cap)
-    slab = discrepancy.slab_certificate(lat, pts, svp_cap=args.svp_cap)
-    planes = discrepancy.hyperplane_count_certificate(
-        lat, pts, svp_cap=args.svp_cap
-    )
+    # the integration check comes before the shortest-vector cap
+    discrepancy._points_for(lat, pts)
+    spectral = reduction.spectral_test(lat, svp_cap=args.svp_cap)
+    slab = discrepancy.slab_certificate(lat, pts, spectral)
+    planes = discrepancy.hyperplane_count_certificate(lat, pts, spectral)
     estimate = discrepancy.estimate_isotropic_discrepancy(
         pts,
         budget=args.budget,
         seed=args.seed,
-        lat=lat,
-        enum_cap=args.cap,
-        svp_cap=args.svp_cap,
+        certificates=(slab, planes),
         digits=digits,
     )
     result = {
@@ -426,7 +426,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     handler = _HANDLERS[args.command]
     try:
-        for flag in ("cap", "svp_cap"):
+        for flag in ("cap", "svp_cap", "budget"):
             value = getattr(args, flag, 0)
             if value < 0:
                 flag = flag.replace("_", "-")

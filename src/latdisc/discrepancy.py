@@ -14,6 +14,11 @@ it; instead it produces
   (halfspaces, slabs, and axis boxes at point-induced critical offsets) and
   keeps the best exactly-verified witness.
 
+Both certificates rest on one lattice fact, the shortest dual vector h
+behind sigma(L), so they take the caller's node set and spectral test
+rather than computing their own, and the estimator takes the finished
+certificates.
+
 Every quantity reported as a bound is an exact Fraction backed by a witness
 body; the estimator re-verifies each winning witness with a literal pass
 over the points before reporting it.  The only irrational quantity, the
@@ -30,7 +35,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from . import directed, lattice as lattice_mod, reduction, volume
+from . import directed, reduction, volume
 from .errors import InputError, InvariantViolationError
 from .lattice import IntegrationLattice, PointSet
 from .volume import AxisBox, ConvexBody, Halfspace, Slab
@@ -103,14 +108,12 @@ class HyperplaneCountCertificate:
         }
 
 
-def _points_for(lat: IntegrationLattice, points, enum_cap):
+def _points_for(lat: IntegrationLattice, points: PointSet) -> PointSet:
     if not lat.is_integration:
         raise InputError(
             "discrepancy certificates need an integration lattice "
             "(integer-valued dual products)"
         )
-    if points is None:
-        return lattice_mod.enumerate_points(lat, cap=enum_cap)
     if lat.n_points is not None and len(points) != lat.n_points:
         raise InputError("point set does not match the lattice node count")
     return points
@@ -118,13 +121,14 @@ def _points_for(lat: IntegrationLattice, points, enum_cap):
 
 def slab_certificate(
     lat: IntegrationLattice,
-    points: PointSet | None = None,
-    enum_cap: int = lattice_mod.DEFAULT_ENUM_CAP,
-    svp_cap: int = reduction.DEFAULT_SVP_CAP,
+    points: PointSet,
+    spectral: reduction.SpectralResult,
 ) -> SlabCertificate:
-    """Certified empty-slab lower bound on J_N; see SlabCertificate."""
-    pts = _points_for(lat, points, enum_cap)
-    spectral = reduction.spectral_test(lat, svp_cap=svp_cap)
+    """Certified empty-slab lower bound on J_N; see SlabCertificate.
+
+    `points` are the nodes of `lat` and `spectral` its spectral test; the
+    slab's emptiness is checked against every node."""
+    pts = _points_for(lat, points)
     normal = spectral.shortest_dual_vector
     center_value = Fraction(sum(normal), 2)
     if center_value.denominator == 1:
@@ -157,13 +161,14 @@ def slab_certificate(
 
 def hyperplane_count_certificate(
     lat: IntegrationLattice,
-    points: PointSet | None = None,
-    enum_cap: int = lattice_mod.DEFAULT_ENUM_CAP,
-    svp_cap: int = reduction.DEFAULT_SVP_CAP,
+    points: PointSet,
+    spectral: reduction.SpectralResult,
 ) -> HyperplaneCountCertificate:
-    """Certified plane-count lower bound on J_N; see the class docstring."""
-    pts = _points_for(lat, points, enum_cap)
-    spectral = reduction.spectral_test(lat, svp_cap=svp_cap)
+    """Certified plane-count lower bound on J_N; see the class docstring.
+
+    `points` are the nodes of `lat` and `spectral` its spectral test; every
+    node's plane value is checked to be an integer."""
+    pts = _points_for(lat, points)
     normal = spectral.shortest_dual_vector
     counts = Counter(pts.plane_values(normal))
     n = len(pts)
@@ -202,7 +207,7 @@ class DiscrepancyEstimate:
     """Best certified lower bound found within an evaluation budget.
 
     lower_bound is exact and every witness body achieves it exactly;
-    upper_bound_sq carries (d^2 2^d sigma)^2 when a lattice was supplied
+    upper_bound_sq carries (d^2 2^d sigma)^2 when certificates were supplied
     (squared form keeps it rational), else None.
     """
 
@@ -391,25 +396,24 @@ def estimate_isotropic_discrepancy(
     points: PointSet,
     budget: int = DEFAULT_BUDGET,
     seed: int = 0,
-    lat: IntegrationLattice | None = None,
-    enum_cap: int = lattice_mod.DEFAULT_ENUM_CAP,
-    svp_cap: int = reduction.DEFAULT_SVP_CAP,
+    certificates: tuple[SlabCertificate, HyperplaneCountCertificate] | None = None,
     digits: int = directed.DEFAULT_DIGITS,
 ) -> DiscrepancyEstimate:
     """Search convex bodies for the largest exact local discrepancy.
 
-    The search is deterministic given (points, budget, seed).  It always
-    starts with the mandatory candidates: when `lat` is supplied, the two
-    structural certificates (empty slab, plane counts) enter budget-free and
-    the shortest dual vector heads the normal list; then come the axis
-    directions and axis-box families at point-induced critical offsets, and
-    finally seeded random integer normals in [-10, 10]^d and random boxes
-    until the evaluation budget is spent.  Each candidate body costs one
-    budget unit.  Winning witnesses are re-verified with a literal pass over
-    the point set.
+    The search is deterministic given (points, budget, seed, certificates).
+    It always starts with the mandatory candidates: when `certificates`, the
+    (slab, planes) pair built for this node set, is supplied, both witness
+    bodies enter budget-free after a literal re-check against `points`, and
+    the planes' normal heads the normal list; then come the axis directions
+    and axis-box families at point-induced critical offsets, and finally
+    seeded random integer normals in [-10, 10]^d and random boxes until the
+    evaluation budget is spent.  Each candidate body costs one budget unit.
+    Winning witnesses are re-verified with a literal pass over the point
+    set.
 
-    When `lat` is given the sigma upper bound d^2 2^d sigma(L) is attached
-    in exact squared form.
+    With `certificates` the sigma upper bound d^2 2^d sigma(L) is attached
+    in exact squared form, from the planes' sigma_sq.
     """
     if budget < 0:
         raise InputError("budget must be nonnegative")
@@ -421,12 +425,8 @@ def estimate_isotropic_discrepancy(
     d = points.dim
 
     mandatory_normals: list[tuple[int, ...]] = []
-    if lat is not None:
-        pts = _points_for(lat, points, enum_cap)
-        slab_cert = slab_certificate(lat, pts, enum_cap=enum_cap, svp_cap=svp_cap)
-        plane_cert = hyperplane_count_certificate(
-            lat, pts, enum_cap=enum_cap, svp_cap=svp_cap
-        )
+    if certificates is not None:
+        slab_cert, plane_cert = certificates
         for body, bound in (
             (slab_cert.body, slab_cert.implied_lower_bound),
             (plane_cert.witness_body, plane_cert.implied_lower_bound),
@@ -441,9 +441,7 @@ def estimate_isotropic_discrepancy(
         upper_sq = factor**2 * plane_cert.sigma_sq
         hi = directed.sqrt_bounds(upper_sq, digits).hi
         upper_decimal = directed.decimal_str(hi, digits, "up")
-        direction = _primitive_direction(
-            tuple(int(x) for x in plane_cert.normal)
-        )
+        direction = _primitive_direction(plane_cert.normal)
         if direction is not None:
             mandatory_normals.append(direction)
 

@@ -251,43 +251,6 @@ def spectral_test(
     )
 
 
-@dataclass(frozen=True)
-class HyperplaneFamily:
-    """A covering family of parallel hyperplanes for the lattice points.
-
-    All lattice points satisfy <normal, x> in Z, so they lie on the planes
-    <normal, x> = k; adjacent planes are 1/||normal|| apart, which equals
-    sigma(L) when the normal is a shortest dual vector.
-    """
-
-    normal: tuple
-    spacing_sq: Fraction
-    n_points_verified: int
-    description: str
-
-
-def covering_family(
-    lat: "lattice_mod.IntegrationLattice",
-    enum_cap: int = lattice_mod.DEFAULT_ENUM_CAP,
-    svp_cap: int = DEFAULT_SVP_CAP,
-) -> HyperplaneFamily:
-    """The hyperplane family orthogonal to a shortest dual vector, verified
-    literally on the full node set (<normal, x> integral for every node)."""
-    result = spectral_test(lat, svp_cap=svp_cap)
-    normal = result.shortest_dual_vector
-    points = lattice_mod.enumerate_points(lat, cap=enum_cap)
-    points.plane_values(normal)
-    return HyperplaneFamily(
-        normal=normal,
-        spacing_sq=result.sigma_sq,
-        n_points_verified=len(points),
-        description=(
-            f"planes <h, x> = k, k integer, h = {tuple(normal)}; "
-            "spacing between adjacent planes is sigma"
-        ),
-    )
-
-
 # ---------------------------------------------------------------------------
 # diameter of the fundamental cell
 # ---------------------------------------------------------------------------

@@ -120,6 +120,14 @@ def random_corpus():
     return out
 
 
+def _plane_certificate(lat):
+    """The production plane-count certificate, from the lattice's own nodes
+    and spectral test."""
+    return discrepancy.hyperplane_count_certificate(
+        lat, lattice.enumerate_points(lat), reduction.spectral_test(lat)
+    )
+
+
 def _plane_max_count(n, g, normal):
     """Most populated dual hyperplane, counted in pure integer arithmetic.
 
@@ -211,15 +219,13 @@ class TestAcceptance:
             if max_count * max_count * d * lam_sq < n * n:
                 failures.append((n, g))
         for lat in random_corpus:
-            cert = discrepancy.hyperplane_count_certificate(lat)
+            cert = _plane_certificate(lat)
             lam_sq = int(1 / cert.sigma_sq)
             if cert.max_count**2 * lat.dim * lam_sq < lat.n_points**2:
                 failures.append((lat.spec_string(),))
         # bulk counting path vs production certificates, spot-checked
         for d, n, g, lam_sq, normal in rank1_corpus[::500]:
-            cert = discrepancy.hyperplane_count_certificate(
-                lattice.from_rank1(n, g)
-            )
+            cert = _plane_certificate(lattice.from_rank1(n, g))
             assert cert.max_count == _plane_max_count(n, g, list(cert.normal))
         total = len(rank1_corpus) + len(random_corpus)
         ok = not failures

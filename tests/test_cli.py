@@ -5,11 +5,12 @@ import json
 import os
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 
 import latdisc
-from latdisc import __version__, cli, directed, lattice
+from latdisc import __version__, cli, directed, lattice, reduction
 
 
 def run_cli(capsys, *args):
@@ -136,6 +137,35 @@ class TestCertify:
         assert data["result"]["estimate"]["seed"] == 9
 
 
+class TestLatticeFactsOnce:
+    """One spectral test, one dual and one node enumeration per command:
+    the certificates and the estimator take them from the command."""
+
+    @pytest.mark.parametrize("command", ["certify", "verify"])
+    @pytest.mark.parametrize(
+        "lat",
+        [
+            ["--family", "fibonacci", "--m", "8"],
+            ["--family", "scaled", "--m", "3", "--d", "3"],
+        ],
+        ids=["fibonacci", "scaled3d"],
+    )
+    def test_each_fact_computed_once(self, capsys, monkeypatch, command, lat):
+        calls = Counter()
+        for module, name in (
+            (reduction, "spectral_test"),
+            (lattice, "dual"),
+            (lattice, "enumerate_points"),
+        ):
+            def counting(*args, _original=getattr(module, name), _name=name, **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counting)
+        assert cli.main([command, *lat]) == 0
+        assert calls == {"spectral_test": 1, "dual": 1, "enumerate_points": 1}
+
+
 class TestSearch:
     def test_json_search(self, capsys):
         code, data = run_json(capsys, "search", "--n", "101", "--d", "2")
@@ -209,6 +239,15 @@ class TestPrecision:
         monkeypatch.setenv("LATDISC_PRECISION", "10")
         assert cli.main(["spectral", "--family", "fibonacci", "--m", "5"]) == 2
 
+    def test_low_precision_refused_before_enumeration(self, capsys, monkeypatch):
+        # a node cap the lattice exceeds must not mask the bad precision
+        args = ["certify", "--family", "fibonacci", "--m", "20", "--cap", "5"]
+        assert cli.main(args + ["--digits", "5"]) == 2
+        monkeypatch.setenv("LATDISC_PRECISION", "5")
+        assert cli.main(args) == 2
+        refused = "latdisc: input error: precision below 30 significant digits is refused"
+        assert capsys.readouterr().err.splitlines() == [refused, refused]
+
     def test_high_precision_exit_2(self, capsys, monkeypatch):
         args = ["spectral", "--family", "fibonacci", "--m", "5"]
         assert cli.main(args + ["--digits", str(directed.MAX_DIGITS)]) == 0
@@ -253,12 +292,15 @@ class TestErrorPaths:
             ["verify", "--family", "fibonacci", "--m", "5", "--cap", "-1"],
             ["spectral", "--family", "fibonacci", "--m", "5", "--svp-cap", "-1"],
             ["search", "--n", "5", "--d", "2", "--svp-cap", "-1"],
+            # refused before enumeration, whose cap is exceeded too
+            ["certify", "--family", "fibonacci", "--m", "20", "--budget", "-1",
+             "--cap", "5"],
         ],
     )
     def test_negative_cap_exit_2(self, capsys, args):
         assert cli.main(args) == 2
         err = capsys.readouterr().err.splitlines()
-        flag = "--cap" if "--cap" in args else "--svp-cap"
+        flag = args[args.index("-1") - 1]
         assert err == [f"latdisc: input error: {flag} must be nonnegative, got -1"]
 
     def test_zero_cap_is_a_cap_overrun(self, capsys):
@@ -275,6 +317,31 @@ class TestErrorPaths:
             '{"kind": "basis", "dim": 2, "basis": [["2", "0"], ["0", "1"]]}'
         )
         assert cli.main(["spectral", "--in", str(path)]) == 2
+
+    @pytest.mark.parametrize("d", [2, 13])
+    @pytest.mark.parametrize(
+        "command,message",
+        [
+            ("certify", "discrepancy certificates need an integration lattice "
+             "(integer-valued dual products)"),
+            ("verify", "verification needs an integration lattice"),
+        ],
+        ids=["certify", "verify"],
+    )
+    def test_non_integration_basis_refused_before_svp(
+        self, capsys, tmp_path, d, command, message
+    ):
+        # diag(2, 1, ..., 1); at d = 13 the shortest-vector cap (12) would
+        # also be exceeded, so this checks which error comes first
+        basis = [[str(2 if i == j == 0 else int(i == j)) for j in range(d)]
+                 for i in range(d)]
+        path = tmp_path / "rel.json"
+        path.write_text(json.dumps(
+            {"kind": "basis", "dim": d, "integration": False, "basis": basis}
+        ))
+        assert cli.main([command, "--in", str(path)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"latdisc: input error: {message}"]
 
     def test_unknown_family_rejected(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -95,7 +95,10 @@ class TestBadLattice:
         from latdisc import discrepancy
 
         for m in (2, 5, 20):
-            cert = discrepancy.slab_certificate(constructions.bad_lattice(m))
+            lat = constructions.bad_lattice(m)
+            cert = discrepancy.slab_certificate(
+                lat, lattice.enumerate_points(lat), reduction.spectral_test(lat)
+            )
             assert cert.implied_lower_bound >= F(1, 2)
 
 

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from latdisc import discrepancy, lattice, reduction, volume
-from latdisc.errors import CapExceededError, InputError, InvariantViolationError
+from latdisc.errors import InputError, InvariantViolationError
 
 F = Fraction
 
@@ -14,6 +14,20 @@ F = Fraction
 def _rule(n, g):
     lat = lattice.from_rank1(n, g)
     return lat, lattice.enumerate_points(lat)
+
+
+def _facts(lat):
+    """The arguments the certificates take: lattice, nodes, spectral test."""
+    return lat, lattice.enumerate_points(lat), reduction.spectral_test(lat)
+
+
+def _certificates(lat, pts):
+    """The (slab, planes) pair the estimator takes, built on `pts`."""
+    spectral = reduction.spectral_test(lat)
+    return (
+        discrepancy.slab_certificate(lat, pts, spectral),
+        discrepancy.hyperplane_count_certificate(lat, pts, spectral),
+    )
 
 
 def _replace_node(pts, point):
@@ -32,7 +46,7 @@ def _off_family_set(lat, pts):
 
 
 def _in_slab_set(lat, pts):
-    slab = discrepancy.slab_certificate(lat, pts).body
+    slab = discrepancy.slab_certificate(lat, pts, reduction.spectral_test(lat)).body
     m = 4 * len(pts)
     point = next(
         (F(i, m), F(j, m))
@@ -53,35 +67,35 @@ class TestLiteralRecheck:
         lat, pts = _rule(21, (1, 13))
         bad = bad_set(lat, pts)
         with pytest.raises(InvariantViolationError):
-            discrepancy.hyperplane_count_certificate(lat, bad)
+            discrepancy.hyperplane_count_certificate(
+                lat, bad, reduction.spectral_test(lat)
+            )
 
     def test_slab_certificate_catches_node_in_empty_slab(self):
         lat, pts = _rule(21, (1, 13))
         bad = _in_slab_set(lat, pts)
         with pytest.raises(InvariantViolationError):
-            discrepancy.slab_certificate(lat, bad)
+            discrepancy.slab_certificate(lat, bad, reduction.spectral_test(lat))
+        # certificates built on the good nodes: the estimator's own literal
+        # re-check against the bad nodes must raise
+        certificates = _certificates(lat, pts)
         with pytest.raises(InvariantViolationError):
-            discrepancy.estimate_isotropic_discrepancy(bad, budget=10, lat=lat)
-
-    @pytest.mark.parametrize("bad_set", BAD_SETS, ids=lambda f: f.__name__)
-    def test_covering_family_catches_bad_node(self, bad_set, monkeypatch):
-        lat, pts = _rule(21, (1, 13))
-        bad = bad_set(lat, pts)
-        monkeypatch.setattr(lattice, "enumerate_points", lambda lat, cap: bad)
-        with pytest.raises(InvariantViolationError):
-            reduction.covering_family(lat)
+            discrepancy.estimate_isotropic_discrepancy(
+                bad, budget=10, certificates=certificates
+            )
 
     def test_good_node_set_passes(self):
         lat, pts = _rule(21, (1, 13))
         same = lattice.PointSet(list(pts), 2)
-        discrepancy.hyperplane_count_certificate(lat, same)
-        discrepancy.slab_certificate(lat, same)
+        spectral = reduction.spectral_test(lat)
+        discrepancy.hyperplane_count_certificate(lat, same, spectral)
+        discrepancy.slab_certificate(lat, same, spectral)
 
 
 class TestSlabCertificate:
     def test_frozen_small_rule(self):
         lat, pts = _rule(5, (1, 3))
-        cert = discrepancy.slab_certificate(lat)
+        cert = discrepancy.slab_certificate(lat, pts, reduction.spectral_test(lat))
         assert cert.body == volume.Slab((1, -2), -1, 0)
         assert cert.volume == F(1, 2)
         assert cert.implied_lower_bound == F(1, 2)
@@ -91,44 +105,33 @@ class TestSlabCertificate:
 
     def test_integer_lattice_gets_full_gap(self):
         z2 = lattice.from_basis([[1, 0], [0, 1]])
-        cert = discrepancy.slab_certificate(z2)
+        cert = discrepancy.slab_certificate(*_facts(z2))
         assert cert.volume == 1
         assert cert.implied_lower_bound == 1
 
     def test_halved_axis_lattice_exposes_coordinate_gap(self):
         # all nodes lie on y = 0, so the whole open strip above is empty
         lat = lattice.from_basis([[F(1, 2), 0], [0, 1]])
-        cert = discrepancy.slab_certificate(lat)
+        cert = discrepancy.slab_certificate(*_facts(lat))
         assert cert.body == volume.Slab((0, 1), 0, 1)
         assert cert.implied_lower_bound == 1
 
     def test_halved_grid(self):
         lat = lattice.from_basis([[F(1, 2), 0], [0, F(1, 2)]])
-        cert = discrepancy.slab_certificate(lat)
+        cert = discrepancy.slab_certificate(*_facts(lat))
         assert cert.volume == F(1, 2)
         assert cert.implied_lower_bound == F(1, 2)
         pts = lattice.enumerate_points(lat)
         assert not any(volume.body_contains(cert.body, p) for p in pts)
 
-    def test_reuses_supplied_points(self):
-        lat, pts = _rule(7, (1, 3))
-        cert = discrepancy.slab_certificate(lat, points=pts)
-        assert cert.n_points_checked == 7
-        assert cert.implied_lower_bound == cert.volume
-
     def test_relaxed_lattice_rejected(self):
         relaxed = lattice.from_basis([[2, 0], [0, 1]], relaxed=True)
         with pytest.raises(InputError):
-            discrepancy.slab_certificate(relaxed)
-
-    def test_enum_cap(self):
-        lat = lattice.from_rank1(10_000, (1, 3333))
-        with pytest.raises(CapExceededError):
-            discrepancy.slab_certificate(lat, enum_cap=100)
+            discrepancy.slab_certificate(*_facts(relaxed))
 
     def test_dict_round_trips_body(self):
         lat, _ = _rule(5, (1, 3))
-        data = discrepancy.slab_certificate(lat).to_dict()
+        data = discrepancy.slab_certificate(*_facts(lat)).to_dict()
         assert data["certificate"] == "empty_slab"
         assert volume.body_from_dict(data["body"]) == volume.Slab((1, -2), -1, 0)
         json.dumps(data)  # JSON-safe
@@ -137,17 +140,18 @@ class TestSlabCertificate:
 class TestHyperplaneCountCertificate:
     def test_frozen_small_rule(self):
         lat, _ = _rule(5, (1, 3))
-        cert = discrepancy.hyperplane_count_certificate(lat)
+        cert = discrepancy.hyperplane_count_certificate(*_facts(lat))
         assert cert.normal == (1, -2)
         assert dict(cert.plane_counts) == {-1: 2, 0: 3}
         assert cert.max_count == 3
         assert cert.implied_lower_bound == F(3, 5)
         assert cert.plane_count_limit == 4
         assert cert.witness_body == volume.Slab((1, -2), 0, 0, open=False)
+        assert cert.sigma_sq == F(1, 5)
 
     def test_counts_match_direct_tally(self):
         lat, pts = _rule(13, (1, 5))
-        cert = discrepancy.hyperplane_count_certificate(lat)
+        cert = discrepancy.hyperplane_count_certificate(*_facts(lat))
         tally: dict = {}
         for p in pts:
             v = sum(h * x for h, x in zip(cert.normal, p))
@@ -160,7 +164,7 @@ class TestHyperplaneCountCertificate:
         # some plane must carry at least N / #planes points
         for n, g in [(5, (1, 3)), (13, (1, 5)), (8, (1, 3)), (21, (1, 13))]:
             lat, _ = _rule(n, g)
-            cert = discrepancy.hyperplane_count_certificate(lat)
+            cert = discrepancy.hyperplane_count_certificate(*_facts(lat))
             planes = len(cert.plane_counts)
             assert planes <= cert.plane_count_limit
             assert cert.max_count * cert.plane_count_limit >= n
@@ -168,20 +172,20 @@ class TestHyperplaneCountCertificate:
 
     def test_implied_bound_is_max_count_over_n(self):
         lat, _ = _rule(21, (1, 13))
-        cert = discrepancy.hyperplane_count_certificate(lat)
+        cert = discrepancy.hyperplane_count_certificate(*_facts(lat))
         assert cert.implied_lower_bound == F(cert.max_count, 21)
         assert volume.body_volume(cert.witness_body) == 0
 
     def test_dict_is_json_safe(self):
         lat, _ = _rule(5, (1, 3))
-        json.dumps(discrepancy.hyperplane_count_certificate(lat).to_dict())
+        json.dumps(discrepancy.hyperplane_count_certificate(*_facts(lat)).to_dict())
 
 
 class TestEstimate:
     def test_finds_certificate_bound_on_small_rule(self):
         lat, pts = _rule(5, (1, 3))
         est = discrepancy.estimate_isotropic_discrepancy(
-            pts, budget=500, seed=0, lat=lat
+            pts, budget=500, seed=0, certificates=_certificates(lat, pts)
         )
         assert est.lower_bound == F(3, 5)
         assert est.upper_bound_sq == F(256, 5)
@@ -189,7 +193,7 @@ class TestEstimate:
 
     def test_byte_identical_reruns(self):
         lat, pts = _rule(13, (1, 5))
-        kwargs = dict(budget=800, seed=3, lat=lat)
+        kwargs = dict(budget=800, seed=3, certificates=_certificates(lat, pts))
         a = discrepancy.estimate_isotropic_discrepancy(pts, **kwargs)
         b = discrepancy.estimate_isotropic_discrepancy(pts, **kwargs)
         assert json.dumps(a.to_dict(), sort_keys=True) == (
@@ -199,7 +203,7 @@ class TestEstimate:
     def test_budget_is_recorded_and_respected(self):
         lat, pts = _rule(13, (1, 5))
         est = discrepancy.estimate_isotropic_discrepancy(
-            pts, budget=200, seed=0, lat=lat
+            pts, budget=200, seed=0, certificates=_certificates(lat, pts)
         )
         assert est.budget == 200
         assert est.evaluations <= 200
@@ -207,7 +211,7 @@ class TestEstimate:
     def test_witnesses_attain_the_bound(self):
         lat, pts = _rule(13, (1, 5))
         est = discrepancy.estimate_isotropic_discrepancy(
-            pts, budget=600, seed=1, lat=lat
+            pts, budget=600, seed=1, certificates=_certificates(lat, pts)
         )
         assert est.witnesses
         for body in est.witnesses:
@@ -217,7 +221,7 @@ class TestEstimate:
     def test_lower_bound_below_upper_bound(self):
         lat, pts = _rule(34, (1, 21))
         est = discrepancy.estimate_isotropic_discrepancy(
-            pts, budget=400, seed=0, lat=lat
+            pts, budget=400, seed=0, certificates=_certificates(lat, pts)
         )
         assert est.lower_bound**2 <= est.upper_bound_sq
 
@@ -235,19 +239,19 @@ class TestEstimate:
         bounds = set()
         for seed in (0, 1, 2):
             est = discrepancy.estimate_isotropic_discrepancy(
-                pts, budget=300, seed=seed, lat=lat
+                pts, budget=300, seed=seed, certificates=_certificates(lat, pts)
             )
             for body in est.witnesses:
                 assert abs(volume.local_discrepancy(pts, body)) == est.lower_bound
             bounds.add(est.lower_bound)
         # certificates anchor every run to at least the pigeonhole bound
-        cert = discrepancy.hyperplane_count_certificate(lat)
+        cert = discrepancy.hyperplane_count_certificate(*_facts(lat))
         assert all(b >= cert.implied_lower_bound for b in bounds)
 
     def test_certificates_do_not_consume_budget(self):
         lat, pts = _rule(5, (1, 3))
         est = discrepancy.estimate_isotropic_discrepancy(
-            pts, budget=0, seed=0, lat=lat
+            pts, budget=0, seed=0, certificates=_certificates(lat, pts)
         )
         assert est.lower_bound >= F(1, 2)
         assert est.evaluations == 0
@@ -261,7 +265,7 @@ class TestEstimate:
     def test_dict_shape(self):
         lat, pts = _rule(5, (1, 3))
         est = discrepancy.estimate_isotropic_discrepancy(
-            pts, budget=100, seed=0, lat=lat
+            pts, budget=100, seed=0, certificates=_certificates(lat, pts)
         )
         data = est.to_dict()
         assert set(data) == {

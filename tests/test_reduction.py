@@ -165,19 +165,6 @@ class TestSpectralTest:
             assert F(v).denominator == 1
 
 
-class TestCoveringFamily:
-    def test_family_for_small_rule(self):
-        fam = reduction.covering_family(lattice.from_rank1(5, (1, 3)))
-        assert fam.normal == (1, -2)
-        assert fam.spacing_sq == F(1, 5)
-        assert fam.n_points_verified == 5
-
-    def test_enum_cap_respected(self):
-        lat = lattice.from_rank1(1000, (1, 33))
-        with pytest.raises(CapExceededError):
-            reduction.covering_family(lat, enum_cap=10)
-
-
 class TestDiameterBound:
     def test_certified_on_reduced_bases(self):
         for rows in ([[1, 0], [0, 1]], [[F(1, 5), F(3, 5)], [0, 1]], [[2, 1, 0], [1, 3, 1], [0, 1, 4]]):
