@@ -23,6 +23,12 @@ Every quantity reported as a bound is an exact Fraction backed by a witness
 body; the estimator re-verifies each winning witness with a literal pass
 over the points before reporting it.  The only irrational quantity, the
 sigma-based upper bound d^2 2^d sigma(L), is carried in exact squared form.
+
+The search's scans compare candidates with the incumbent in integers
+(integer node counts against the integer volume numerators of
+volume.CubeSection) and build a body and a Fraction only for a candidate
+that ties or beats the incumbent; the certificate bodies are re-checked and
+the winning witnesses re-verified literally, as before.
 """
 
 from __future__ import annotations
@@ -252,7 +258,15 @@ def _primitive_direction(vec) -> tuple[int, ...] | None:
 
 
 class _Search:
-    """Deterministic budgeted search state (internal to the estimator)."""
+    """Deterministic budgeted search state (internal to the estimator).
+
+    The scans compare each candidate with the incumbent in integers: its
+    discrepancy is count/N - num/den with integer node counts and the
+    integer volume numerators of volume.CubeSection, so a candidate is one
+    cross-multiplication.  A body and a Fraction are built only for a
+    candidate that ties or beats the incumbent, and `record` sees exactly
+    the bodies and values a body-by-body search would have recorded.  The
+    winning witnesses are still re-verified literally by the estimator."""
 
     def __init__(self, points: PointSet, budget: int, seed: int):
         self.points = points
@@ -266,7 +280,7 @@ class _Search:
         self.witnesses: list[ConvexBody] = []
         self.rng = random.Random(seed)
         self.scanned: set[tuple[int, ...]] = set()
-        self._axis_interior: dict[int, list[int]] = {}
+        self._axis_interior: list[list[int]] | None = None
         self._axis_pools: dict[int, list[int]] = {}
 
     def record(self, body: ConvexBody, delta: Fraction):
@@ -276,6 +290,12 @@ class _Search:
             self.witnesses = [body]
         elif magnitude == self.best and magnitude > 0 and body not in self.witnesses:
             self.witnesses.append(body)
+
+    def _beats(self, num: int, den: int) -> bool:
+        """Whether the discrepancy num/den (den > 0) would change `record`'s
+        state: it beats the incumbent, or ties it at a nonzero value."""
+        best = self.best
+        return num != 0 and abs(num) * best.denominator >= best.numerator * den
 
     def spend(self) -> bool:
         if self.evaluations >= self.budget:
@@ -293,72 +313,107 @@ class _Search:
 
     def scan_normal(self, direction: tuple[int, ...]) -> bool:
         """Evaluate halfspaces and gap slabs for one normal direction at all
-        point-induced critical offsets.  Returns False once out of budget."""
+        point-induced critical offsets.  Returns False once out of budget.
+
+        A candidate's discrepancy is (count * den - N * num(v)) / (N * den),
+        with num(v) / den its volume from one CubeSection per direction; a
+        slab's volume is num(hi) - num(lo) over the same den."""
         if direction in self.scanned:
             return True
         self.scanned.add(direction)
         values = sorted(self.points.products(direction))
         unique = sorted(set(values))
         n, q = self.n, self.q
+        section = volume.CubeSection(direction, q)
+        den = section.den
+        total = n * den
         cube_lo = q * sum(min(a, 0) for a in direction)
         cube_hi = q * sum(max(a, 0) for a in direction)
+        nums = []
         for v in unique:
             if not self.spend():
                 return False
-            body = Halfspace(direction, Fraction(v, q), closed=True)
-            self.record(body, Fraction(bisect_right(values, v), n) - volume.body_volume(body))
+            num = section.numerator(v)
+            nums.append(num)
+            delta = bisect_right(values, v) * den - n * num
+            if self._beats(delta, total):
+                body = Halfspace(direction, Fraction(v, q), closed=True)
+                self.record(body, Fraction(delta, total))
             if not self.spend():
                 return False
-            body = Halfspace(direction, Fraction(v, q), closed=False)
-            self.record(body, Fraction(bisect_left(values, v), n) - volume.body_volume(body))
-        previous = cube_lo
-        for v in unique + [cube_hi]:
+            delta = bisect_left(values, v) * den - n * num
+            if self._beats(delta, total):
+                body = Halfspace(direction, Fraction(v, q), closed=False)
+                self.record(body, Fraction(delta, total))
+        previous, low = cube_lo, 0
+        for v, high in zip(unique + [cube_hi], nums + [den]):
             if v > previous:
                 if not self.spend():
                     return False
-                body = Slab(direction, Fraction(previous, q), Fraction(v, q), open=True)
                 inside = bisect_left(values, v) - bisect_right(values, previous)
-                self.record(body, Fraction(inside, n) - volume.body_volume(body))
-            previous = max(previous, v)
+                delta = inside * den - n * (high - low)
+                if self._beats(delta, total):
+                    body = Slab(direction, Fraction(previous, q), Fraction(v, q), open=True)
+                    self.record(body, Fraction(delta, total))
+                previous, low = v, high
         return True
 
     # -- axis boxes ---------------------------------------------------------
 
-    def _interior_projection(self, axis: int) -> list[int]:
-        if axis not in self._axis_interior:
-            proj = [
-                x[axis]
-                for x in self.nodes
-                if all(0 < xc < self.q for k, xc in enumerate(x) if k != axis)
-            ]
-            self._axis_interior[axis] = sorted(proj)
-        return self._axis_interior[axis]
+    def _interior_projections(self) -> list[list[int]]:
+        """Per axis, the sorted numerators along it of the nodes interior
+        (0 < X_k < q) in every other coordinate; one pass over the nodes."""
+        if self._axis_interior is None:
+            q = self.q
+            proj: list[list[int]] = [[] for _ in range(self.dim)]
+            interior = []
+            for x in self.nodes:
+                if 0 < min(x) and max(x) < q:
+                    interior.append(x)
+                    continue
+                outside = [k for k, xc in enumerate(x) if not 0 < xc < q]
+                if len(outside) == 1:
+                    k = outside[0]
+                    proj[k].append(x[k])
+            for column, values in zip(zip(*interior), proj):
+                values.extend(column)
+            for values in proj:
+                values.sort()
+            self._axis_interior = proj
+        return self._axis_interior
 
     def scan_axis_boxes(self, axis: int) -> bool:
         """Open boxes spanning the cube except along one axis, cut at every
-        point-induced critical value.  Returns False once out of budget."""
-        proj = self._interior_projection(axis)
-        q = self.q
+        point-induced critical value.  Returns False once out of budget.
+
+        The box cut at v / q has volume v / q (or (q - v) / q), so its
+        discrepancy is (count * q - N * v) / (N * q)."""
+        proj = self._interior_projections()[axis]
+        n, q = self.n, self.q
+        total = n * q
         pool = sorted(set(x[axis] for x in self.nodes if 0 < x[axis] < q))
         d = self.dim
         ones = tuple(Fraction(1) for _ in range(d))
         zeros = tuple(Fraction(0) for _ in range(d))
         for v in pool + [q]:
-            cut = Fraction(v, q)
             if v > 0:
                 if not self.spend():
                     return False
-                hi = tuple(cut if k == axis else Fraction(1) for k in range(d))
-                body = AxisBox(zeros, hi, open=True)
                 inside = bisect_left(proj, v) - bisect_right(proj, 0)
-                self.record(body, Fraction(inside, self.n) - volume.body_volume(body))
+                delta = inside * q - n * v
+                if self._beats(delta, total):
+                    cut = Fraction(v, q)
+                    hi = tuple(cut if k == axis else Fraction(1) for k in range(d))
+                    self.record(AxisBox(zeros, hi, open=True), Fraction(delta, total))
             if v < q:
                 if not self.spend():
                     return False
-                lo = tuple(cut if k == axis else Fraction(0) for k in range(d))
-                body = AxisBox(lo, ones, open=True)
                 inside = bisect_left(proj, q) - bisect_right(proj, v)
-                self.record(body, Fraction(inside, self.n) - volume.body_volume(body))
+                delta = inside * q - n * (q - v)
+                if self._beats(delta, total):
+                    cut = Fraction(v, q)
+                    lo = tuple(cut if k == axis else Fraction(0) for k in range(d))
+                    self.record(AxisBox(lo, ones, open=True), Fraction(delta, total))
         return True
 
     def _pool(self, axis: int) -> list[int]:

@@ -11,16 +11,24 @@ Three body shapes cover everything the certificates and the search need:
   enters a certificate as a convex body;
 - AxisBox: an axis-parallel box inside the cube.
 
-The workhorse is halfspace_cube_volume: for a normal with all-positive
-entries the volume of { x in [0,1]^d : <a, x> <= t } has the classical
-inclusion-exclusion form
+The workhorse is CubeSection, one integer kernel for every halfspace
+volume.  For an integer direction a and a denominator q, flip each negative
+entry by the substitution x_i -> 1 - x_i (which shifts the offset by
+q |a_i|), drop the zero entries, and let c_1..c_m be the remaining |a_i|.
+The classical inclusion-exclusion form then reads, in integers,
 
-    vol = ( sum over vertices v of {0,1}^d of (-1)^|v| max(0, t - <a, v>)^d )
-          / ( d! * prod_i a_i ),
+    vol{ x in [0,1]^d : <a, x> <= v/q } = num(v) / den,
+    num(v) = sum over vertex sums S < T of sign(S) * (T - S)^m,
+    den    = q^m * m! * c_1 * ... * c_m,
 
-zero coordinates of the normal marginalize out, and negative coordinates are
-flipped by the substitution x_i -> 1 - x_i.  Volume is insensitive to the
-open/closed flags; membership tests honor them exactly.
+with T = v + shift.  The vertex sums S = q * sum_{i in I} c_i over subsets I
+of the active axes carry the sign (-1)^|I|; the table is built once per
+direction by doubling it for each c_i, and equal sums are merged into one
+signed multiplicity, so it never holds more than 2^m terms.  num is 0 for
+T <= 0 and den for T >= q * sum c_i.  halfspace_cube_volume clears the
+denominators of a rational normal and offset into this form and builds one
+Fraction at the end.  Volume is insensitive to the open/closed flags;
+membership tests honor them exactly.
 
 body_contains is the single-point reference; count_inside runs the same test
 over a node set's integer numerators X = q x, against integer thresholds
@@ -31,7 +39,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, factorial, floor, lcm
+from math import ceil, factorial, floor, lcm, prod
 from typing import Union
 
 from .errors import InputError
@@ -102,41 +110,67 @@ class AxisBox:
 ConvexBody = Union[Halfspace, Slab, AxisBox]
 
 
+class CubeSection:
+    """Halfspace volumes in the unit cube for one integer direction and one
+    denominator q: vol{ x in [0,1]^d : <direction, x> <= v/q } is
+    numerator(v) / den for every integer v (see the module docstring)."""
+
+    __slots__ = ("m", "shift", "top", "den", "_coeffs", "_q", "_terms")
+
+    def __init__(self, direction, q: int):
+        coeffs = []
+        shift = 0
+        for a in direction:
+            if a > 0:
+                coeffs.append(a)
+            elif a < 0:
+                coeffs.append(-a)  # substitute x_i -> 1 - x_i
+                shift -= a
+        m = len(coeffs)
+        if m == 0:
+            raise InputError("volume of a halfspace needs a nonzero normal")
+        if m > _SUBSET_LIMIT:
+            raise InputError(f"halfspace volume limited to {_SUBSET_LIMIT} active axes")
+        self.m, self.shift, self.top = m, q * shift, q * sum(coeffs)
+        self.den = q**m * factorial(m) * prod(coeffs)
+        self._coeffs, self._q, self._terms = coeffs, q, None
+
+    def terms(self) -> list[tuple[int, int]]:
+        """The signed vertex sums (S, multiplicity), ascending in S; built
+        on first use, so offsets outside the cube never pay for it."""
+        if self._terms is None:
+            table = {0: 1}
+            for c in self._coeffs:
+                step = self._q * c
+                doubled = dict(table)
+                for s, sign in table.items():
+                    doubled[s + step] = doubled.get(s + step, 0) - sign
+                table = doubled
+            self._terms = sorted((s, sign) for s, sign in table.items() if sign)
+        return self._terms
+
+    def numerator(self, v: int) -> int:
+        t = v + self.shift
+        if t <= 0:
+            return 0
+        if t >= self.top:
+            return self.den
+        m = self.m
+        total = 0
+        for s, sign in self.terms():
+            if s >= t:
+                break
+            total += sign * (t - s) ** m
+        return total
+
+
 def halfspace_cube_volume(normal, offset) -> Fraction:
     """Exact volume of { x in [0,1]^d : <normal, x> <= offset }."""
     a = as_vector(normal)
-    t = as_fraction(offset)
-    if all(x == 0 for x in a):
-        raise InputError("volume of a halfspace needs a nonzero normal")
-    coeffs = []
-    for x in a:
-        if x > 0:
-            coeffs.append(x)
-        elif x < 0:
-            coeffs.append(-x)  # substitute x_i -> 1 - x_i
-            t -= x
-    m = len(coeffs)
-    if m > _SUBSET_LIMIT:
-        raise InputError(f"halfspace volume limited to {_SUBSET_LIMIT} active axes")
-    if t <= 0:
-        return Fraction(0)
-    if t >= sum(coeffs):
-        return Fraction(1)
-    total = Fraction(0)
-    for mask in range(1 << m):
-        s = t
-        bits = 0
-        mm = mask
-        idx = 0
-        while mm:
-            if mm & 1:
-                s -= coeffs[idx]
-                bits += 1
-            mm >>= 1
-            idx += 1
-        if s > 0:
-            total += (-1) ** bits * s**m
-    return total / (factorial(m) * _product(coeffs))
+    scale = lcm(*(x.denominator for x in a))
+    t = as_fraction(offset) * scale
+    section = CubeSection([int(x * scale) for x in a], t.denominator)
+    return Fraction(section.numerator(t.numerator), section.den)
 
 
 def _product(values) -> Fraction:

@@ -1,9 +1,17 @@
-"""Exhaustive-search oracles for shortest-vector claims (test support).
+"""Slow, obviously-correct references the tests compare the package with.
 
-The production shortest-vector path (LLL preprocessing plus pruned
-enumeration) is efficient but intricate; this module provides slow,
-obviously-correct cross-checks built on literal box scans.  Only the tests
-use it, so it lives with them rather than in the package.
+- Shortest vectors: the production path (LLL preprocessing plus pruned
+  enumeration) is efficient but intricate; the oracles below are literal
+  box scans.
+- Halfspace volumes: the Fraction inclusion-exclusion loop over all 2^m
+  vertex subsets, one bit mask at a time, against the integer vertex-sum
+  kernel volume.CubeSection.
+- The discrepancy search: FractionSearch builds every candidate body and
+  its Fraction discrepancy, against the integer scans of
+  discrepancy._Search.
+
+Only the tests use them, so they live with the tests rather than in the
+package.
 
 The soundness argument never relies on reduction quality.  Given any basis
 of the lattice under test and any radius R known to dominate the lattice
@@ -22,12 +30,15 @@ floor(sqrt(R^2)), so a plain cube suffices.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
-from math import ceil, gcd, isqrt
+from math import ceil, factorial, gcd, isqrt
 
-from latdisc import directed, linalg
+from latdisc import directed, discrepancy, linalg, volume
 from latdisc.errors import InputError
 from latdisc.kernels import lll_reduce
+from latdisc.linalg import as_fraction, as_vector
+from latdisc.volume import AxisBox, Halfspace, Slab
 
 
 def min_norm_in_coeff_box(rows, widths):
@@ -186,3 +197,158 @@ def rank1_dual_shortest_bruteforce(n: int, generator, radius_sq: int):
         raise InputError("radius_sq must be positive")
     width = isqrt(radius_sq)
     return rank1_dual_min_in_box(n, [int(x) for x in generator], width)
+
+
+def halfspace_cube_volume(normal, offset) -> Fraction:
+    """Exact volume of { x in [0,1]^d : <normal, x> <= offset }, summed in
+    Fractions over every vertex subset of the active axes:
+
+        vol = ( sum over subsets I of (-1)^|I| max(0, t - sum_{i in I} c_i)^m )
+              / ( m! * prod_i c_i ),
+
+    after flipping negative coordinates by x_i -> 1 - x_i."""
+    a = as_vector(normal)
+    t = as_fraction(offset)
+    if all(x == 0 for x in a):
+        raise InputError("volume of a halfspace needs a nonzero normal")
+    coeffs = []
+    for x in a:
+        if x > 0:
+            coeffs.append(x)
+        elif x < 0:
+            coeffs.append(-x)  # substitute x_i -> 1 - x_i
+            t -= x
+    m = len(coeffs)
+    if m > volume._SUBSET_LIMIT:
+        raise InputError(f"halfspace volume limited to {volume._SUBSET_LIMIT} active axes")
+    if t <= 0:
+        return Fraction(0)
+    if t >= sum(coeffs):
+        return Fraction(1)
+    total = Fraction(0)
+    for mask in range(1 << m):
+        s = t
+        bits = 0
+        mm = mask
+        idx = 0
+        while mm:
+            if mm & 1:
+                s -= coeffs[idx]
+                bits += 1
+            mm >>= 1
+            idx += 1
+        if s > 0:
+            total += (-1) ** bits * s**m
+    product = Fraction(1)
+    for c in coeffs:
+        product *= c
+    return total / (factorial(m) * product)
+
+
+def body_volume(body) -> Fraction:
+    """volume.body_volume, with halfspace volumes from the reference above."""
+    if isinstance(body, Halfspace):
+        return halfspace_cube_volume(body.normal, body.offset)
+    if isinstance(body, Slab):
+        if body.lo == body.hi:
+            return Fraction(0)
+        return halfspace_cube_volume(body.normal, body.hi) - halfspace_cube_volume(
+            body.normal, body.lo
+        )
+    product = Fraction(1)
+    for a, b in zip(body.lo, body.hi):
+        product *= b - a
+    return product
+
+
+class FractionSearch(discrepancy._Search):
+    """The budgeted search, body by body: every candidate becomes a body
+    whose Fraction discrepancy goes to `record`, with volumes from the
+    reference above and one pass over the nodes per axis projection.
+
+    `phases` names the scan that spent each evaluation ("halfspace",
+    "slab", "axis_box" or "random_box"), so a test can pick budgets that
+    run out inside a given loop."""
+
+    def __init__(self, points, budget, seed):
+        super().__init__(points, budget, seed)
+        self.phase = None
+        self.phases: list[str] = []
+        self._projections: dict[int, list[int]] = {}
+
+    def spend(self) -> bool:
+        spent = super().spend()
+        if spent:
+            self.phases.append(self.phase)
+        return spent
+
+    def scan_normal(self, direction):
+        if direction in self.scanned:
+            return True
+        self.scanned.add(direction)
+        values = sorted(self.points.products(direction))
+        unique = sorted(set(values))
+        n, q = self.n, self.q
+        cube_lo = q * sum(min(a, 0) for a in direction)
+        cube_hi = q * sum(max(a, 0) for a in direction)
+        self.phase = "halfspace"
+        for v in unique:
+            if not self.spend():
+                return False
+            body = Halfspace(direction, Fraction(v, q), closed=True)
+            self.record(body, Fraction(bisect_right(values, v), n) - body_volume(body))
+            if not self.spend():
+                return False
+            body = Halfspace(direction, Fraction(v, q), closed=False)
+            self.record(body, Fraction(bisect_left(values, v), n) - body_volume(body))
+        self.phase = "slab"
+        previous = cube_lo
+        for v in unique + [cube_hi]:
+            if v > previous:
+                if not self.spend():
+                    return False
+                body = Slab(direction, Fraction(previous, q), Fraction(v, q), open=True)
+                inside = bisect_left(values, v) - bisect_right(values, previous)
+                self.record(body, Fraction(inside, n) - body_volume(body))
+            previous = max(previous, v)
+        return True
+
+    def _interior_projection(self, axis):
+        if axis not in self._projections:
+            proj = [
+                x[axis]
+                for x in self.nodes
+                if all(0 < xc < self.q for k, xc in enumerate(x) if k != axis)
+            ]
+            self._projections[axis] = sorted(proj)
+        return self._projections[axis]
+
+    def scan_axis_boxes(self, axis):
+        self.phase = "axis_box"
+        proj = self._interior_projection(axis)
+        q = self.q
+        pool = sorted(set(x[axis] for x in self.nodes if 0 < x[axis] < q))
+        d = self.dim
+        ones = tuple(Fraction(1) for _ in range(d))
+        zeros = tuple(Fraction(0) for _ in range(d))
+        for v in pool + [q]:
+            cut = Fraction(v, q)
+            if v > 0:
+                if not self.spend():
+                    return False
+                hi = tuple(cut if k == axis else Fraction(1) for k in range(d))
+                body = AxisBox(zeros, hi, open=True)
+                inside = bisect_left(proj, v) - bisect_right(proj, 0)
+                self.record(body, Fraction(inside, self.n) - body_volume(body))
+            if v < q:
+                if not self.spend():
+                    return False
+                lo = tuple(cut if k == axis else Fraction(0) for k in range(d))
+                body = AxisBox(lo, ones, open=True)
+                inside = bisect_left(proj, q) - bisect_right(proj, v)
+                self.record(body, Fraction(inside, self.n) - body_volume(body))
+        return True
+
+    def random_box(self):
+        self.phase = "random_box"
+        return super().random_box()

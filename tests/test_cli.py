@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, exit codes, and stable output."""
 
+import hashlib
 import io
 import json
 import os
@@ -135,6 +136,28 @@ class TestCertify:
         assert code == 0
         assert data["result"]["estimate"]["budget"] == 50
         assert data["result"]["estimate"]["seed"] == 9
+
+
+class TestHighDimensionFewNodes:
+    """A rank-1 rule with 17 nodes in d = 8: random normals have up to 8
+    active axes, so a halfspace volume sums over up to 2^8 = 256 vertex
+    subsets, far more than there are nodes.  The output is pinned to the
+    SHA-256 of the JSON that the body-by-body Fraction search printed."""
+
+    ARGS = ("certify", "--n", "17", "--generator", "1,2,4,8,16,15,13,9")
+    DIGESTS = {
+        "500": "1a2da62bb804a633d121615a59b5f2065ff43aac9c6b5574a887458503292e2b",
+        "3000": "a30a17001af8c1edb40d0341c3a4bb4eba4cce62de87d85203e30398e821d944",
+    }
+
+    @pytest.mark.parametrize("budget", sorted(DIGESTS))
+    def test_certify_output_unchanged(self, capsys, budget):
+        code, out = run_cli(capsys, *self.ARGS, "--budget", budget)
+        assert code == 0
+        estimate = json.loads(out)["result"]["estimate"]
+        assert estimate["dim"] == 8 and estimate["n_points"] == 17
+        assert estimate["evaluations"] == int(budget)
+        assert hashlib.sha256(out.encode()).hexdigest() == self.DIGESTS[budget]
 
 
 class TestLatticeFactsOnce:

@@ -5,7 +5,8 @@ from fractions import Fraction
 
 import pytest
 
-from latdisc import discrepancy, lattice, reduction, volume
+import oracles
+from latdisc import constructions, discrepancy, lattice, reduction, volume
 from latdisc.errors import InputError, InvariantViolationError
 
 F = Fraction
@@ -281,3 +282,84 @@ class TestEstimate:
         }
         for w in data["witnesses"]:
             volume.body_from_dict(w)
+
+
+class TestIntegerSearchMatchesReference:
+    """The integer scans against oracles.FractionSearch, which builds every
+    candidate body and its Fraction discrepancy: the same incumbent, the
+    same witnesses in the same order and the same evaluation count, for
+    budgets that run out inside the halfspace, slab and axis-box loops, and
+    the same sequence of changes to the incumbent and its ties on the way."""
+
+    LATTICES = {
+        "fibonacci55": lambda: lattice.from_rank1(55, (1, 34)),
+        "korobov31_d3": lambda: constructions.korobov_lattice(31, 12, 3),
+        "scaled6_d3": lambda: constructions.scaled_integer_lattice(6, 3),
+        "bad7_d3": lambda: constructions.bad_lattice(7, 3),
+        "rank1_gcd2_d3": lambda: lattice.from_rank1(60, (4, 10, 6)),
+        "rank1_n17_d8": lambda: lattice.from_rank1(17, (1, 2, 4, 8, 16, 15, 13, 9)),
+    }
+    FULL_BUDGET = 800
+    SHIPPED = discrepancy._Search  # taken before any test patches the name
+
+    @staticmethod
+    def _search(search_class, monkeypatch, pts, budget, seed, certificates):
+        """Run the estimator on `search_class`; return its search state,
+        with `changes` listing every (body, best) that changed the
+        incumbent or the witness list, in order."""
+        made = []
+
+        class Kept(search_class):
+            def __init__(self, *args):
+                super().__init__(*args)
+                self.changes = []
+                made.append(self)
+
+            def record(self, body, delta):
+                before = (self.best, len(self.witnesses))
+                super().record(body, delta)
+                if (self.best, len(self.witnesses)) != before:
+                    self.changes.append((body, self.best))
+
+        monkeypatch.setattr(discrepancy, "_Search", Kept)
+        discrepancy.estimate_isotropic_discrepancy(
+            pts, budget=budget, seed=seed, certificates=certificates
+        )
+        (search,) = made
+        return search
+
+    @pytest.mark.parametrize("certified", [True, False], ids=["certified", "bare"])
+    @pytest.mark.parametrize("name", sorted(LATTICES))
+    def test_same_search_as_reference(self, monkeypatch, name, certified):
+        lat = self.LATTICES[name]()
+        pts = lattice.enumerate_points(lat)
+        certificates = _certificates(lat, pts) if certified else None
+        seed = 0 if certified else 4
+        full = self._search(
+            oracles.FractionSearch, monkeypatch, pts, self.FULL_BUDGET, seed, certificates
+        )
+        phases = full.phases
+        assert "random_box" in phases  # the full run reaches the random phase
+        budgets = [0, self.FULL_BUDGET]
+        for phase in ("halfspace", "slab", "axis_box"):
+            first = phases.index(phase)
+            end = first
+            while end < len(phases) and phases[end] == phase:
+                end += 1
+            assert end - first >= 2, (phase, first, end)
+            budget = (first + end + 1) // 2
+            # evaluation budget - 1 was spent in the loop, and the loop
+            # asked for one more
+            assert phases[budget - 1] == phases[budget] == phase
+            budgets.append(budget)
+        for budget in budgets:
+            ref = full if budget == self.FULL_BUDGET else self._search(
+                oracles.FractionSearch, monkeypatch, pts, budget, seed, certificates
+            )
+            ours = self._search(
+                self.SHIPPED, monkeypatch, pts, budget, seed, certificates
+            )
+            assert ours.evaluations == ref.evaluations == min(budget, len(phases))
+            assert ours.changes == ref.changes, budget
+            assert ours.best == ref.best, budget
+            assert ours.witnesses == ref.witnesses, budget

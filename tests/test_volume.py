@@ -1,12 +1,14 @@
 """Exact volumes of halfspaces, slabs, and boxes inside the unit cube."""
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from latdisc import lattice, volume
 from latdisc.errors import InputError
 from latdisc.lattice import PointSet
@@ -79,6 +81,74 @@ class TestHalfspaceCubeVolume:
         assert volume.halfspace_cube_volume(normal, offset) <= (
             volume.halfspace_cube_volume(normal, offset + bump)
         )
+
+
+def _random_entry(rng):
+    """A normal coordinate: zero, a small integer, or a proper Fraction."""
+    kind = rng.randrange(3)
+    if kind == 0:
+        return 0
+    if kind == 1:
+        return rng.choice((-1, 1)) * rng.randint(1, 6)
+    return F(rng.randint(-9, 9), rng.randint(2, 7))
+
+
+class TestIntegerKernelMatchesReference:
+    """The integer vertex-sum kernel against the Fraction bit-mask loop of
+    oracles.halfspace_cube_volume, which it replaced in the package."""
+
+    @pytest.mark.parametrize("d", range(1, 7))
+    def test_random_normals_and_offsets(self, d):
+        rng = random.Random(1000 + d)
+        for _ in range(30):
+            normal = [_random_entry(rng) for _ in range(d)]
+            if all(x == 0 for x in normal):
+                normal[rng.randrange(d)] = F(-3, 2)
+            lo = sum(min(a, 0) for a in normal)
+            hi = sum(max(a, 0) for a in normal)
+            vertices = list(itertools.product((0, 1), repeat=d))
+            if len(vertices) > 8:
+                vertices = rng.sample(vertices, 8)
+            offsets = [
+                lo - F(rng.randint(1, 9), rng.randint(1, 4)),  # below the cube
+                hi + F(rng.randint(1, 9), rng.randint(1, 4)),  # above it
+                lo + (hi - lo) * F(rng.randint(1, 99), 100),
+                *(sum(a * b for a, b in zip(normal, v)) for v in vertices),
+            ]
+            for t in offsets:
+                assert volume.halfspace_cube_volume(normal, t) == (
+                    oracles.halfspace_cube_volume(normal, t)
+                ), (normal, t)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_section_numerators(self, seed):
+        # the search reads CubeSection directly: num(v) / den at every
+        # integer offset v / q, across and beyond the cube
+        rng = random.Random(seed)
+        d = rng.randint(1, 5)
+        direction = [rng.randint(-4, 4) for _ in range(d)]
+        direction[0] = direction[0] or 1
+        q = rng.randint(1, 7)
+        section = volume.CubeSection(direction, q)
+        lo = q * sum(min(a, 0) for a in direction)
+        hi = q * sum(max(a, 0) for a in direction)
+        for v in range(lo - 2, hi + 3):
+            assert F(section.numerator(v), section.den) == (
+                oracles.halfspace_cube_volume(direction, F(v, q))
+            )
+
+    def test_rejects_zero_normal_and_too_many_axes(self):
+        limit = volume._SUBSET_LIMIT
+        with pytest.raises(InputError):
+            volume.halfspace_cube_volume((0, 0, 0), 1)
+        with pytest.raises(InputError):
+            volume.CubeSection((0, 0), 5)
+        with pytest.raises(InputError):
+            volume.halfspace_cube_volume((1,) * (limit + 1), 0)
+        with pytest.raises(InputError):
+            volume.halfspace_cube_volume((0,) * 5 + (F(-1, 3),) * (limit + 1), 1)
+        # zero coordinates are not active axes
+        assert volume.halfspace_cube_volume((0,) * 5 + (1,) * limit, 0) == 0
 
 
 class TestBodyValidation:
