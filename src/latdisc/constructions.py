@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
-from . import directed, reduction
+from . import directed, kernels, reduction
 from .errors import CapExceededError, InputError, InvariantViolationError
 from .lattice import IntegrationLattice, from_basis, from_rank1
 
@@ -124,6 +124,28 @@ def _generators(n: int, d: int, mode: str):
             yield [1, *tail]
 
 
+def _dual_bases(n: int, d: int, mode: str):
+    # (g, basis of the dual lattice of g) in _generators(n, d, mode) order.
+    # In exhaustive mode the generators sharing a prefix P share its dual
+    # basis: dual(P, a) is spanned by the rows of dual(P), each with a 0
+    # appended, and (-a, 0, ..., 0, 1), since subtracting h[-1] times that
+    # row from any h in dual(P, a) leaves a vector of dual(P) x {0}.  A 2-d
+    # prefix basis is Gauss-reduced once for its n - 1 generators, so their
+    # LLL starts from a reduced block, and once the prefix's shortest vector
+    # is no longer than the incumbent it rejects the whole block at entry.
+    if mode == "korobov":
+        for g in _generators(n, d, mode):
+            yield g, _dual_rows_unit_leading(n, g)
+        return
+    for prefix in _generators(n, d - 1, mode):
+        head = _dual_rows_unit_leading(n, prefix)
+        if len(head) == 2:
+            head = kernels.gauss_reduce_2d(head)
+        head = [row + [0] for row in head]
+        for a in range(1, n):
+            yield [*prefix, a], head + [[-a] + [0] * (d - 2) + [1]]
+
+
 @dataclass(frozen=True)
 class GeneratorSearchResult:
     """Winner of an exhaustive rank-1 generator search.
@@ -179,7 +201,14 @@ def korobov_search(
     one wins only with a strictly larger minimum: each candidate's SVP gets
     the incumbent's squared norm as `beat` and stops at the first nonzero
     dual vector no longer than that (branch and bound, as in L'Ecuyer and
-    Couture's spectral-test search).  LLL still runs once per generator.
+    Couture's spectral-test search).  The abort reaches into LLL, which
+    gives up at entry or after a swap that brings such a vector to the
+    front.  In exhaustive mode with d = 3 every dual basis starts from the
+    Gauss-reduced dual basis of its prefix (1, a_2), shared by the n - 1
+    generators of that prefix (component by component, as in Sloan and
+    Reztsov), so a prefix whose shortest dual vector is already no longer
+    than the incumbent costs each of its generators only the entry check.
+    Each generator still makes exactly one LLL call.
     """
     if not _is_prime(n):
         raise InputError(f"generator search needs a prime modulus, got {n}")
@@ -192,11 +221,9 @@ def korobov_search(
     best_norm = None
     best_g = None
     searched = 0
-    for g in _generators(n, d, mode):
+    for g, rows in _dual_bases(n, d, mode):
         searched += 1
-        found = reduction._shortest_vector_int(
-            _dual_rows_unit_leading(n, g), beat=best_norm
-        )
+        found = reduction._shortest_vector_int(rows, beat=best_norm)
         if found is not None:
             best_norm = found[1]
             best_g = tuple(g)

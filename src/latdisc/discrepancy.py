@@ -278,6 +278,7 @@ class _Search:
         self.evaluations = 0
         self.best = Fraction(0)
         self.witnesses: list[ConvexBody] = []
+        self._witness_set: set[ConvexBody] = set()  # membership for ties
         self.rng = random.Random(seed)
         self.scanned: set[tuple[int, ...]] = set()
         self._axis_interior: list[list[int]] | None = None
@@ -288,8 +289,10 @@ class _Search:
         if magnitude > self.best:
             self.best = magnitude
             self.witnesses = [body]
-        elif magnitude == self.best and magnitude > 0 and body not in self.witnesses:
+            self._witness_set = {body}
+        elif magnitude == self.best and magnitude > 0 and body not in self._witness_set:
             self.witnesses.append(body)
+            self._witness_set.add(body)
 
     def _beats(self, num: int, den: int) -> bool:
         """Whether the discrepancy num/den (den > 0) would change `record`'s

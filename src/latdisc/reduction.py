@@ -149,8 +149,8 @@ def _shortest_vector_int(
     flipping signs so the first nonzero coordinate is positive, the
     lexicographically smallest is returned.  With `beat` set, returns None
     as soon as the lattice is known to hold a nonzero vector of squared
-    norm <= beat: right after LLL when a reduced row qualifies, else at the
-    first such vector the enumeration reaches.
+    norm <= beat: inside LLL when an input row or a new first row
+    qualifies, else at the first such vector the enumeration reaches.
     """
     n = len(rows)
     if n == 1:
@@ -169,9 +169,11 @@ def _shortest_vector_int(
         vec = min(kernels.canonical_sign(c) for c, nm in zip(candidates, norms) if nm == least)
     else:
         try:
-            reduced = kernels.lll_reduce(rows)
+            reduced = kernels.lll_reduce(rows, beat=beat)
         except ValueError as exc:
             raise InputError(str(exc)) from exc
+        if reduced is None:
+            return None
         found = kernels.shortest_vectors(reduced, beat)
         if found is None:
             return None

@@ -268,13 +268,22 @@ class FractionSearch(discrepancy._Search):
 
     `phases` names the scan that spent each evaluation ("halfspace",
     "slab", "axis_box" or "random_box"), so a test can pick budgets that
-    run out inside a given loop."""
+    run out inside a given loop.  `record` tests tie membership on the
+    witness list itself, one witness at a time."""
 
     def __init__(self, points, budget, seed):
         super().__init__(points, budget, seed)
         self.phase = None
         self.phases: list[str] = []
         self._projections: dict[int, list[int]] = {}
+
+    def record(self, body, delta):
+        magnitude = abs(delta)
+        if magnitude > self.best:
+            self.best = magnitude
+            self.witnesses = [body]
+        elif magnitude == self.best and magnitude > 0 and body not in self.witnesses:
+            self.witnesses.append(body)
 
     def spend(self) -> bool:
         spent = super().spend()

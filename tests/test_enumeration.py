@@ -171,6 +171,45 @@ class TestBeat:
         assert reduction._shortest_vector_int(rows, beat=0) == ((5, 0, 0), 25)
 
 
+class TestLLLBeat:
+    """kernels.lll_reduce with `beat`: None only when the lattice holds a
+    nonzero vector of squared norm <= beat, else the unaborted output.
+
+    It aborts exactly when an input row or the fully reduced first row is
+    that short: a swap at k = 1 is the only step that changes the first
+    row, it shrinks d[1] = ||b_0||^2, and the last such swap leaves the
+    final first row, so checking after each of them is checking the end."""
+
+    @given(
+        any_basis,
+        st.sampled_from(["entry", "first", "minimum", "zero"]),
+        st.integers(-2, 2),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_abort_contract(self, rows, anchor, offset):
+        full = kernels.lll_reduce(rows)
+        least = kernels.shortest_vectors(full)[0]
+        entry = min(dot(row, row) for row in rows)
+        first = dot(full[0], full[0])
+        beat = {"entry": entry, "first": first, "minimum": least, "zero": 0}[anchor]
+        beat += offset
+        aborted = kernels.lll_reduce(rows, beat=beat)
+        if aborted is None:
+            assert least <= beat
+        else:
+            assert aborted == full
+        assert (aborted is None) == (entry <= beat or first <= beat)
+
+    def test_abort_after_first_swap(self):
+        # the input rows have squared norms 10, 5, 49; size reduction turns
+        # the second into (-1, 0, 0) and the swap at k = 1 brings it first
+        rows = [[3, 1, 0], [2, 1, 0], [0, 0, 7]]
+        full = [[-1, 0, 0], [0, 1, 0], [0, 0, 7]]
+        assert kernels.lll_reduce(rows) == full
+        assert kernels.lll_reduce(rows, beat=0) == full
+        assert kernels.lll_reduce(rows, beat=1) is None
+
+
 class TestGeneratorSearch:
     @pytest.mark.parametrize("mode", ["korobov", "exhaustive"])
     @pytest.mark.parametrize("n,d", [(13, 3), (31, 3), (7, 4), (11, 5)])
@@ -178,9 +217,20 @@ class TestGeneratorSearch:
         gens = [tuple(g) for g in constructions._generators(n, d, mode)]
         assert all(a < b for a, b in zip(gens, gens[1:]))
 
-    @pytest.mark.parametrize("mode", ["korobov", "exhaustive"])
-    @pytest.mark.parametrize("d", [3, 4])
-    @pytest.mark.parametrize("n", [13, 29, 31])
+    @pytest.mark.parametrize(
+        "n,d,mode",
+        [
+            (n, d, mode)
+            for mode in ("korobov", "exhaustive")
+            for d in (3, 4)
+            for n in (13, 29, 31)
+        ]
+        + [
+            (n, d, mode)
+            for mode in ("korobov", "exhaustive")
+            for n, d in ((5, 2), (13, 2), (7, 3), (5, 5), (7, 5))
+        ],
+    )
     def test_search_equals_unpruned_scan(self, n, d, mode):
         best = None
         searched = 0
@@ -195,9 +245,23 @@ class TestGeneratorSearch:
         r = constructions.korobov_search(n, d, mode)
         assert (r.generator, r.norm_sq, r.n_searched) == (best[1], -best[0], searched)
 
-    def test_one_lll_per_generator(self, monkeypatch):
-        # the search may cut enumeration short, but never LLL: each
-        # generator costs one reduction, plus one for re-verifying the winner
+    @pytest.mark.parametrize("mode", ["korobov", "exhaustive"])
+    @pytest.mark.parametrize("n,d", [(5, 2), (7, 2), (5, 3), (13, 3), (5, 4), (7, 4), (5, 5)])
+    def test_dual_bases_span_the_dual(self, n, d, mode):
+        # the warm-started bases come in _generators order and each spans
+        # the same lattice as the generator's own unit-leading dual basis
+        pairs = list(constructions._dual_bases(n, d, mode))
+        assert [g for g, _ in pairs] == list(constructions._generators(n, d, mode))
+        for g, rows in pairs:
+            own = constructions._dual_rows_unit_leading(n, g)
+            assert linalg.hnf(RationalMatrix(rows)) == linalg.hnf(RationalMatrix(own))
+
+    @pytest.mark.parametrize(
+        "mode,n,d", [("korobov", 31, 3), ("exhaustive", 31, 3), ("exhaustive", 13, 4)]
+    )
+    def test_one_lll_per_generator(self, monkeypatch, mode, n, d):
+        # the search may cut LLL and enumeration short, but each generator
+        # still costs one reduction, plus one for re-verifying the winner
         calls = []
         original = kernels.lll_reduce
 
@@ -206,5 +270,5 @@ class TestGeneratorSearch:
             return original(*args, **kwargs)
 
         monkeypatch.setattr(kernels, "lll_reduce", counting)
-        r = constructions.korobov_search(31, 3)
+        r = constructions.korobov_search(n, d, mode)
         assert len(calls) == r.n_searched + 1
