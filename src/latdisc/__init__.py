@@ -33,16 +33,12 @@ from .lattice import (
     from_basis,
     from_json,
     from_rank1,
-    membership,
     to_json,
 )
 from .reduction import (
-    ReducedBasis,
     SpectralResult,
-    lll_reduce,
     shortest_vector,
     spectral_test,
-    unit_cell_diameter_bound,
 )
 from .volume import (
     AxisBox,
@@ -50,7 +46,6 @@ from .volume import (
     Halfspace,
     Slab,
     body_contains,
-    body_from_dict,
     body_to_dict,
     body_volume,
     halfspace_cube_volume,
@@ -113,15 +108,11 @@ __all__ = [
     "from_json",
     "to_json",
     "dual",
-    "membership",
     "enumerate_points",
     # reduction and spectral test
-    "ReducedBasis",
-    "lll_reduce",
     "shortest_vector",
     "SpectralResult",
     "spectral_test",
-    "unit_cell_diameter_bound",
     # bodies and volumes
     "Halfspace",
     "Slab",
@@ -132,7 +123,6 @@ __all__ = [
     "body_contains",
     "local_discrepancy",
     "body_to_dict",
-    "body_from_dict",
     # discrepancy
     "SlabCertificate",
     "slab_certificate",

@@ -117,15 +117,15 @@ class DimensionConstants:
         }
 
 
-def _gamma_power_bounds(gamma: GammaValue, d: int, digits: int) -> Bounds:
-    # enclosure of Gamma(d/2+1)^{-2/d} via (Gamma^2)^{-1/d}; Gamma^2 is
-    # rational or rational * pi, so the root sees a tight base interval
+def _minkowski_sq_bounds(gamma: GammaValue, d: int, digits: int) -> Bounds:
+    """Enclosure of mink_d^2 = (pi/4) Gamma(d/2+1)^{-2/d}, d >= 2."""
+    # Gamma^{-2/d} via (Gamma^2)^{-1/d}; Gamma^2 is rational or rational *
+    # pi, so the root sees a tight base interval
+    pi_b = directed.pi_bounds(digits)
     sq = Fraction(gamma.rational) ** 2
-    if gamma.sqrt_pi:
-        base = directed.scale(directed.pi_bounds(digits), sq)
-    else:
-        base = directed.exact(sq)
-    return directed.recip(directed.root_of_bounds(base, d, digits))
+    base = directed.scale(pi_b, sq) if gamma.sqrt_pi else directed.exact(sq)
+    gamma_pow = directed.recip(directed.root_of_bounds(base, d, digits))
+    return directed.mul(directed.scale(pi_b, Fraction(1, 4)), gamma_pow)
 
 
 def constants_for(d: int, digits: int = directed.DEFAULT_DIGITS) -> DimensionConstants:
@@ -142,16 +142,15 @@ def constants_for(d: int, digits: int = directed.DEFAULT_DIGITS) -> DimensionCon
         inv_sqrt_d = directed.exact(Fraction(1))
         c_d = directed.exact(Fraction(1))
     else:
-        gamma_pow = _gamma_power_bounds(gamma, d, digits)  # Gamma^{-2/d}
-        mink_sq = directed.mul(directed.scale(pi_b, Fraction(1, 4)), gamma_pow)
+        mink_sq = _minkowski_sq_bounds(gamma, d, digits)
         mink = directed.sqrt_of_bounds(mink_sq, digits)
         r = isqrt(d)
         if r * r == d:
             inv_sqrt_d = directed.exact(Fraction(1, r))
         else:
             inv_sqrt_d = directed.recip(directed.sqrt_bounds(d, digits))
-        c_sq = directed.mul(directed.scale(pi_b, Fraction(1, 4 * d)), gamma_pow)
-        c_d = directed.sqrt_of_bounds(c_sq, digits)
+        # c_d^2 = mink_d^2 / d; scaling by 1/d is exact on rational bounds
+        c_d = directed.sqrt_of_bounds(directed.scale(mink_sq, Fraction(1, d)), digits)
         # c_d equals inv_sqrt_d * mink identically; the two computation
         # paths must agree (their enclosures must intersect)
         prod = directed.mul(inv_sqrt_d, mink)
@@ -299,11 +298,9 @@ def verify_lattice(
 
     def mink_over_root_sq(dg: int) -> Bounds:
         # (mink_d N^{-1/d})^2 = (pi/4) Gamma^{-2/d} / N^{2/d}
-        gamma_pow = _gamma_power_bounds(gamma, d, dg)
-        mink_sq = directed.mul(
-            directed.scale(directed.pi_bounds(dg), Fraction(1, 4)), gamma_pow
+        return directed.div(
+            _minkowski_sq_bounds(gamma, d, dg), directed.nth_root_bounds(n_sq, d, dg)
         )
-        return directed.div(mink_sq, directed.nth_root_bounds(n_sq, d, dg))
 
     checks = {}
     checks["sigma_vs_minkowski"] = minkowski_sigma_check(d, n, lam_sq, digits)

@@ -62,10 +62,6 @@ def exact(x) -> Bounds:
     return Bounds(f, f)
 
 
-def add(a: Bounds, b: Bounds) -> Bounds:
-    return Bounds(a.lo + b.lo, a.hi + b.hi)
-
-
 def sub(a: Bounds, b: Bounds) -> Bounds:
     return Bounds(a.lo - b.hi, a.hi - b.lo)
 

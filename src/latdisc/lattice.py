@@ -33,7 +33,7 @@ from .errors import (
     InvariantViolationError,
     NotIntegrationLatticeError,
 )
-from .linalg import RationalMatrix, Vector, as_fraction, as_vector
+from .linalg import RationalMatrix, Vector, as_vector
 
 DEFAULT_ENUM_CAP = 10**6
 
@@ -256,15 +256,6 @@ def dual(lattice: IntegrationLattice) -> DualLattice:
         if det_value != lattice.n_points:
             raise InputError("dual determinant does not equal the node count (bug)")
     return DualLattice(basis, lattice.dim, det_value)
-
-
-def membership(lattice: IntegrationLattice, x) -> bool:
-    """Exact test whether the rational vector x lies in the lattice."""
-    vec = as_vector(x)
-    if len(vec) != lattice.dim:
-        raise InputError("vector dimension does not match the lattice")
-    coeffs = linalg.solve_right(lattice.basis.transpose(), vec)
-    return all(c.denominator == 1 for c in coeffs)
 
 
 def enumerate_points(

@@ -128,9 +128,6 @@ class RationalMatrix:
             [[dot(row, col) for col in cols] for row in self.rows]
         )
 
-    def row_vector(self, i: int) -> Vector:
-        return self.rows[i]
-
     def scaled_integer_rows(self) -> tuple[list[list[int]], int]:
         """Return (integer rows, scale) with integer_rows == scale * self.
 
@@ -204,15 +201,6 @@ def inverse(matrix: RationalMatrix) -> RationalMatrix:
                 factor = aug[i][col]
                 aug[i] = [x - factor * y for x, y in zip(aug[i], aug[col])]
     return RationalMatrix([row[n:] for row in aug])
-
-
-def solve_right(matrix: RationalMatrix, rhs: Sequence) -> Vector:
-    """Solve matrix @ y = rhs exactly for a square invertible matrix."""
-    inv = inverse(matrix)
-    b = as_vector(rhs)
-    if len(b) != matrix.n_rows:
-        raise InputError("right-hand side has wrong length")
-    return tuple(dot(row, b) for row in inv.rows)
 
 
 def _hnf_int(rows: list[list[int]], n_cols: int) -> list[list[int]]:

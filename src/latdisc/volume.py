@@ -277,17 +277,3 @@ def body_to_dict(body: ConvexBody) -> dict:
         }
     raise InputError(f"unknown body type {type(body).__name__}")
 
-
-def body_from_dict(data: dict) -> ConvexBody:
-    """Inverse of body_to_dict; raises InputError on malformed data."""
-    try:
-        shape = data["shape"]
-        if shape == "halfspace":
-            return Halfspace(tuple(data["normal"]), data["offset"], data["closed"])
-        if shape == "slab":
-            return Slab(tuple(data["normal"]), data["lo"], data["hi"], data["open"])
-        if shape == "axis_box":
-            return AxisBox(tuple(data["lo"]), tuple(data["hi"]), data["open"])
-    except (KeyError, TypeError) as exc:
-        raise InputError(f"malformed body description: {exc}") from exc
-    raise InputError(f"unknown body shape {data.get('shape')!r}")

@@ -9,6 +9,9 @@
 - The discrepancy search: FractionSearch builds every candidate body and
   its Fraction discrepancy, against the integer scans of
   discrepancy._Search.
+- LLL reduction: lll_certificate re-derives the Gram-Schmidt data of the
+  integer kernel's output in Fractions and checks every reducedness claim;
+  lattice_contains tests lattice membership through the inverse basis.
 
 Only the tests use them, so they live with the tests rather than in the
 package.
@@ -197,6 +200,52 @@ def rank1_dual_shortest_bruteforce(n: int, generator, radius_sq: int):
         raise InputError("radius_sq must be positive")
     width = isqrt(radius_sq)
     return rank1_dual_min_in_box(n, [int(x) for x in generator], width)
+
+
+def lattice_contains(basis, x) -> bool:
+    """Whether the rational vector x lies in the lattice spanned by the rows
+    of `basis` (a square RationalMatrix): its coordinates x B^-1 are all
+    integers."""
+    inverse = linalg.inverse(basis)
+    return all(linalg.dot(x, col).denominator == 1 for col in inverse.transpose().rows)
+
+
+def lll_certificate(rows, reduced, delta=Fraction(3, 4)) -> dict[str, bool]:
+    """Exact re-check that `reduced` is an LLL-reduced basis of the lattice
+    spanned by `rows`, from Fraction Gram-Schmidt data:
+
+    - size_reduced: |mu_{i,j}| <= 1/2 for j < i;
+    - lovasz: the Lovasz condition at `delta`;
+    - prop_a: ||b*_j||^2 <= 2^(i-j) ||b*_i||^2 for all j <= i;
+    - prop_b: ||b_i||^2 <= 2^(d-1) ||b*_i||^2;
+    - chain: 2^(d-1) ||b*_d||^2 >= max_i ||b*_i||^2 and
+      2^(d-1) max_i ||b*_i||^2 >= max_i ||b_i||^2;
+    - same_lattice: equal Hermite normal forms.
+
+    (a), (b) and the chain use base 2 whatever delta is; they are theorems
+    for delta >= 3/4 only.
+    """
+    basis = linalg.RationalMatrix(reduced)
+    gso, mu = linalg.gram_schmidt(basis)
+    n = basis.n_rows
+    norms = [linalg.dot(b, b) for b in basis.rows]
+    star = [linalg.dot(b, b) for b in gso.rows]
+    max_star = max(star)
+    top = 2 ** (n - 1)
+    return {
+        "size_reduced": all(
+            abs(mu[i, j]) <= Fraction(1, 2) for i in range(n) for j in range(i)
+        ),
+        "lovasz": all(
+            star[k] >= (delta - mu[k, k - 1] ** 2) * star[k - 1] for k in range(1, n)
+        ),
+        "prop_a": all(
+            star[j] <= 2 ** (i - j) * star[i] for i in range(n) for j in range(i + 1)
+        ),
+        "prop_b": all(norms[i] <= top * star[i] for i in range(n)),
+        "chain": top * star[n - 1] >= max_star and top * max_star >= max(norms),
+        "same_lattice": linalg.hnf(basis) == linalg.hnf(linalg.RationalMatrix(rows)),
+    }
 
 
 def halfspace_cube_volume(normal, offset) -> Fraction:

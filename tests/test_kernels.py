@@ -72,27 +72,12 @@ class TestGauss:
         assert abs(_det2([u, v])) == abs(_det2(rows))
 
 
-def _assert_lll_reduced(rows, reduced, delta=F(3, 4)):
-    """Size reduction, the Lovasz condition and |det| of the input."""
-    n = len(reduced)
-    gso, mu = linalg.gram_schmidt(linalg.RationalMatrix(reduced))
-    star = [linalg.dot(b, b) for b in gso.rows]
-    assert all(abs(mu[i, j]) <= F(1, 2) for i in range(n) for j in range(i))
-    assert all(
-        star[k] >= (delta - mu[k, k - 1] ** 2) * star[k - 1] for k in range(1, n)
-    )
-    assert abs(linalg.det(linalg.RationalMatrix(reduced))) == abs(
-        linalg.det(linalg.RationalMatrix(rows))
-    )
-
-
 class TestLLL:
     @pure
     def test_bad_delta_rejected(self, mod):
-        with pytest.raises(ValueError):
-            mod.lll_reduce([[1, 0], [0, 1]], 1, 4)
-        with pytest.raises(ValueError):
-            mod.lll_reduce([[1, 0], [0, 1]], 5, 4)
+        for num, den in [(1, 4), (5, 4), (1, 1), (0, 1)]:
+            with pytest.raises(ValueError):
+                mod.lll_reduce([[1, 0], [0, 1]], num, den)
 
     @pure
     def test_dependent_rejected(self, mod):
@@ -102,7 +87,8 @@ class TestLLL:
     def test_huge_entries(self):
         rng = random.Random(7)
         rows = [[rng.randint(-(10**25), 10**25) for _ in range(4)] for _ in range(4)]
-        _assert_lll_reduced(rows, kernels.lll_reduce([r[:] for r in rows]))
+        cert = oracles.lll_certificate(rows, kernels.lll_reduce([r[:] for r in rows]))
+        assert all(cert.values()), cert
 
     def test_other_delta(self):
         rng = random.Random(99)
@@ -113,7 +99,12 @@ class TestLLL:
                 if linalg.det(linalg.RationalMatrix(rows)) == 0:
                     continue
                 reduced = kernels.lll_reduce([r[:] for r in rows], num, den)
-                _assert_lll_reduced(rows, reduced, F(num, den))
+                cert = oracles.lll_certificate(rows, reduced, F(num, den))
+                # (a), (b) and the chain are theorems only for delta >= 3/4
+                if F(num, den) < F(3, 4):
+                    kept = ("size_reduced", "lovasz", "same_lattice")
+                    cert = {k: cert[k] for k in kept}
+                assert all(cert.values()), (rows, num, den, cert)
 
     def test_input_not_mutated(self):
         rows = [[3, 5], [4, 9]]

@@ -15,7 +15,6 @@ from latdisc.linalg import (
     gram_schmidt,
     hnf,
     inverse,
-    solve_right,
 )
 
 F = Fraction
@@ -82,11 +81,6 @@ class TestDetInverse:
     def test_non_square_rejected(self):
         with pytest.raises(InputError):
             det(M([[1, 2, 3], [4, 5, 6]]))
-
-    def test_solve_right(self):
-        m = M([[2, 1], [1, 3]])
-        x = solve_right(m, [5, 10])
-        assert [dot(row, x) for row in m.transpose().rows] == [F(5), F(10)]
 
     @given(
         st.lists(

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from latdisc import lattice, linalg, reduction
+from latdisc import kernels, lattice, linalg, reduction
 from latdisc.errors import CapExceededError, InputError
 from latdisc.linalg import RationalMatrix
 
@@ -17,39 +17,41 @@ F = Fraction
 SQRT_FIFTH_50 = "0.44721359549995793928183473374625524708812367192230"
 
 
-def _hnf_key(rows):
-    return linalg.hnf(RationalMatrix(rows))
+def _lll(rows):
+    """kernels.lll_reduce on rational rows: scale to integers, reduce, and
+    scale back (reduction commutes with uniform scaling)."""
+    ints, scale = RationalMatrix(rows).scaled_integer_rows()
+    reduced = kernels.lll_reduce(ints)
+    return [[F(x, scale) for x in row] for row in reduced]
 
 
 class TestLLLReduce:
+    """The integer LLL kernel, certified by oracles.lll_certificate."""
+
     def test_certificate_properties_hold(self):
-        rb = reduction.lll_reduce(RationalMatrix([[1, 1, 1], [-1, 0, 2], [3, 5, 6]]))
-        assert all(rb.check_properties().values())
+        rows = [[1, 1, 1], [-1, 0, 2], [3, 5, 6]]
+        cert = oracles.lll_certificate(rows, kernels.lll_reduce(rows))
+        assert all(cert.values()), cert
 
     def test_same_lattice(self):
         rows = [[4, 7], [3, 5]]
-        rb = reduction.lll_reduce(RationalMatrix(rows))
-        assert _hnf_key(rb.basis.rows) == _hnf_key(rows)
+        assert oracles.lll_certificate(rows, kernels.lll_reduce(rows))["same_lattice"]
 
     def test_rational_basis_scaled_correctly(self):
         rows = [[F(1, 5), F(3, 5)], [0, 1]]
-        rb = reduction.lll_reduce(RationalMatrix(rows))
-        assert _hnf_key(rb.basis.rows) == _hnf_key(rows)
-        assert min(rb.row_norms_sq()) == F(1, 5)
-
-    def test_delta_validation(self):
-        m = RationalMatrix([[1, 0], [0, 1]])
-        for bad in (F(1, 4), F(1), F(5, 4), 0):
-            with pytest.raises(InputError):
-                reduction.lll_reduce(m, delta=bad)
+        reduced = _lll(rows)
+        assert oracles.lll_certificate(rows, reduced)["same_lattice"]
+        assert min(linalg.dot(b, b) for b in reduced) == F(1, 5)
 
     def test_dependent_rows_rejected(self):
-        with pytest.raises(InputError):
-            reduction.lll_reduce(RationalMatrix([[1, 2], [2, 4]]))
+        # rows 0 and 2 are dependent; row 1 between them is not
+        with pytest.raises(ValueError):
+            kernels.lll_reduce([[1, 2, 3], [1, 0, 0], [2, 4, 6]])
 
     def test_small_delta_still_certifies_on_easy_basis(self):
-        rb = reduction.lll_reduce(RationalMatrix([[5, 0], [0, 3]]), delta=F(1, 2))
-        assert all(rb.check_properties().values())
+        rows = [[5, 0], [0, 3]]
+        cert = oracles.lll_certificate(rows, kernels.lll_reduce(rows, 1, 2), F(1, 2))
+        assert all(cert.values()), cert
 
     @given(
         st.lists(
@@ -60,9 +62,8 @@ class TestLLLReduce:
     )
     @settings(max_examples=80, deadline=None)
     def test_randomized_reduction_preserves_lattice(self, rows):
-        rb = reduction.lll_reduce(RationalMatrix(rows))
-        assert _hnf_key(rb.basis.rows) == _hnf_key(rows)
-        assert all(rb.check_properties().values())
+        cert = oracles.lll_certificate(rows, kernels.lll_reduce(rows))
+        assert all(cert.values()), cert
 
 
 class TestShortestVector:
@@ -113,10 +114,7 @@ class TestShortestVector:
             # is production's own tie-break, checked by norm and membership
             assert norm == onorm
             assert sum(x * x for x in vec) == norm
-            coeffs = linalg.solve_right(
-                RationalMatrix(rows).transpose(), list(vec)
-            )
-            assert all(c.denominator == 1 for c in coeffs)
+            assert oracles.lattice_contains(RationalMatrix(rows), vec)
 
     def test_rank1_duals_agree_with_cube_oracle(self):
         rng = random.Random(777)
@@ -166,24 +164,43 @@ class TestSpectralTest:
 
 
 class TestDiameterBound:
-    def test_certified_on_reduced_bases(self):
-        for rows in ([[1, 0], [0, 1]], [[F(1, 5), F(3, 5)], [0, 1]], [[2, 1, 0], [1, 3, 1], [0, 1, 4]]):
-            rb = reduction.lll_reduce(RationalMatrix(rows))
-            db = reduction.unit_cell_diameter_bound(rb)
-            assert db.certified
-            assert all(db.checks.values())
+    """The upper chain behind J_N <= d^2 2^d sigma, exact in squared form, on
+    LLL-reduced bases b_1..b_d with lambda_1 the dual minimum: the cell
+    diagonal is at most sum ||b_i|| <= d max ||b_i|| <= d 2^(d-1) sigma."""
 
-    def test_sum_bounds_enclose_true_sum(self):
-        rb = reduction.lll_reduce(RationalMatrix([[3, 1], [1, 4]]))
-        db = reduction.unit_cell_diameter_bound(rb)
-        true_sum = sum(n ** 0.5 for n in rb.row_norms_sq())
-        assert float(db.sum_norm_bounds.lo) <= true_sum <= float(db.sum_norm_bounds.hi)
+    BASES = (
+        [[1, 0], [0, 1]],
+        [[F(1, 5), F(3, 5)], [0, 1]],
+        [[2, 1, 0], [1, 3, 1], [0, 1, 4]],
+    )
+
+    @staticmethod
+    def _chain(rows):
+        """(reduced basis, squared row norms, dual minimum lambda_1^2)."""
+        reduced = _lll(rows)
+        dual = linalg.inverse(RationalMatrix(reduced)).transpose()
+        _, dual_min = reduction.shortest_vector(dual)
+        return reduced, [linalg.dot(b, b) for b in reduced], dual_min
+
+    def test_certified_on_reduced_bases(self):
+        for rows in self.BASES:
+            reduced, norms, dual_min = self._chain(rows)
+            d = len(rows)
+            gso, _ = linalg.gram_schmidt(RationalMatrix(reduced))
+            last_gso = linalg.dot(gso.rows[-1], gso.rows[-1])
+            assert all(oracles.lll_certificate(rows, reduced).values())
+            assert max(norms) <= 4 ** (d - 1) * last_gso
+            # b*_d / ||b*_d||^2 is a nonzero dual vector
+            assert last_gso * dual_min <= 1
+            assert d**2 * max(norms) * dual_min <= (d * 2 ** (d - 1)) ** 2
 
     def test_bound_dominates_cell_diagonal(self):
-        # the long diagonal of the cell is a chord, so it obeys the bound
-        rows = [[2, 1], [1, 3]]
-        rb = reduction.lll_reduce(RationalMatrix(rows))
-        db = reduction.unit_cell_diameter_bound(rb)
-        diag = [sum(r[j] for r in rb.basis.rows) for j in range(2)]
-        diag_sq = sum(x * x for x in diag)
-        assert diag_sq <= db.sum_norm_bounds.hi ** 2
+        # the long diagonal of the cell is a chord, so it obeys the bound:
+        # diag^2 <= (sum ||b_i||)^2 <= d sum ||b_i||^2
+        for rows in self.BASES:
+            reduced, norms, dual_min = self._chain(rows)
+            d = len(rows)
+            diag = [sum(col) for col in zip(*reduced)]
+            diag_sq = linalg.dot(diag, diag)
+            assert diag_sq <= d * sum(norms)
+            assert diag_sq * dual_min <= (d * 2 ** (d - 1)) ** 2
