@@ -43,6 +43,11 @@ class TestLLLReduce:
         assert oracles.lll_certificate(rows, reduced)["same_lattice"]
         assert min(linalg.dot(b, b) for b in reduced) == F(1, 5)
 
+    def test_delta_validation(self):
+        for bad in (F(1, 4), F(1), F(5, 4), F(0)):
+            with pytest.raises(ValueError):
+                kernels.lll_reduce([[1, 0], [0, 1]], bad.numerator, bad.denominator)
+
     def test_dependent_rows_rejected(self):
         # rows 0 and 2 are dependent; row 1 between them is not
         with pytest.raises(ValueError):
