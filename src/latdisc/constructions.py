@@ -208,7 +208,8 @@ def korobov_search(
     generators of that prefix (component by component, as in Sloan and
     Reztsov), so a prefix whose shortest dual vector is already no longer
     than the incumbent costs each of its generators only the entry check.
-    Each generator still makes exactly one LLL call.
+    At every d, 2 included, each generator makes exactly one LLL call, and
+    re-verifying the winner makes one more.
     """
     if not _is_prime(n):
         raise InputError(f"generator search needs a prime modulus, got {n}")

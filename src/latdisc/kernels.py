@@ -1,9 +1,12 @@
 """Integer lattice kernels.
 
-These are the inner loops of the whole package: basis reduction, the
+These are the inner loops of the whole package: LLL reduction, the
 integral Gram-Schmidt data both LLL and the enumeration work on, and the
-exact shortest-vector enumeration.  Everything works on plain Python ints
-(arbitrary precision, no overflow by construction) and is deterministic.
+exact shortest-vector enumeration; every shortest-vector computation, at
+every rank, is lll_reduce followed by shortest_vectors.  The 2d Gauss
+reduction serves one caller: the shared prefix basis of the exhaustive
+d = 3 generator search.  Everything works on plain Python ints (arbitrary
+precision, no overflow by construction) and is deterministic.
 
 All functions take and return lists of ints.  None of them knows about
 Fractions or lattices; callers scale rational bases to integers first.
@@ -26,6 +29,9 @@ def _round_div(a, b):
 
 def gauss_reduce_2d(rows):
     """Lagrange-Gauss reduce a rank-2 integer basis.
+
+    Used only to reduce the 2d prefix dual basis that an exhaustive d = 3
+    generator search shares across n - 1 generators.
 
     Returns [u, v] spanning the same lattice with ||u|| <= ||v|| and
     |2 <u, v>| <= ||u||^2, so u attains the lattice minimum.  Raises

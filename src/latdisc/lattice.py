@@ -200,7 +200,7 @@ def from_rank1(n: int, generator: Iterable[int]) -> IntegrationLattice:
     rows.extend(
         [Fraction(int(i == j)) for j in range(d)] for i in range(d)
     )
-    basis = linalg.hnf(RationalMatrix(rows), scale=n)
+    basis = linalg.hnf(RationalMatrix(rows))
     n_points = _point_count_from_basis(basis)
     return IntegrationLattice(basis, d, n_points, True, rank1_data=(n, g))
 

@@ -244,26 +244,17 @@ def _hnf_int(rows: list[list[int]], n_cols: int) -> list[list[int]]:
     return work[:n_cols]
 
 
-def hnf(matrix: RationalMatrix, scale: int | None = None) -> RationalMatrix:
+def hnf(matrix: RationalMatrix) -> RationalMatrix:
     """Canonical (row-style Hermite) form of the row span of `matrix`.
 
     The rows may be any generating set (more rows than columns is fine);
     the result is the unique upper-triangular basis with positive diagonal
-    and entries above each pivot reduced modulo it.  `scale` may pass a
-    known common denominator; by default it is derived from the entries.
+    and entries above each pivot reduced modulo it.  It is computed on the
+    rows scaled to integers by the lcm of the entry denominators.
 
     Raises RankDeficientError when the rows do not span full column rank.
     """
-    ints, auto_scale = matrix.scaled_integer_rows()
-    if scale is None:
-        scale = auto_scale
-    else:
-        if scale <= 0:
-            raise InputError("scale must be a positive integer")
-        if scale % auto_scale != 0:
-            raise InputError("scale does not clear the denominators of the matrix")
-        factor = scale // auto_scale
-        ints = [[a * factor for a in row] for row in ints]
+    ints, scale = matrix.scaled_integer_rows()
     reduced = _hnf_int(ints, matrix.n_cols)
     return RationalMatrix([[Fraction(a, scale) for a in row] for row in reduced])
 

@@ -9,15 +9,16 @@ geometric meaning: the points of L lie on a family of parallel hyperplanes
 orthogonal to that shortest dual vector h, consecutive planes exactly
 sigma(L) apart, so a large sigma certifies a coarse hyperplane structure.
 
-Everything here is exact.  The shortest vector comes from a Fincke-Pohst
-enumeration that runs in integers only: it works on LLL's integral
-Gram-Schmidt data (Gram determinants d_i and lambda_ij = d_{j+1} mu_ij),
-scales every partial squared norm by one common multiple of the
-d_i d_{i+1}, and bounds each coefficient with an integer square root, so no
-Fraction and no float enters the tree.  The enumeration is exact on any
-basis of the lattice; LLL reduction (all-integer, on a scaled copy of the
-basis) only makes its tree smaller, so its output is not re-checked at run
-time.  The LLL inequalities are certified by the test suite's oracle
+Everything here is exact.  Every rank, 1 and 2 included, takes one path:
+all-integer LLL, then a Fincke-Pohst enumeration that runs in integers
+only.  The enumeration works on LLL's integral Gram-Schmidt data (Gram
+determinants d_i and lambda_ij = d_{j+1} mu_ij), scales every partial
+squared norm by one common multiple of the d_i d_{i+1}, and bounds each
+coefficient with an integer square root, so no Fraction and no float
+enters the tree.  The enumeration is exact on any basis of the lattice;
+LLL reduction (all-integer, on a scaled copy of the basis) only makes its
+tree smaller, so its output is not re-checked at run time.  The LLL
+inequalities are certified by the test suite's oracle
 (`lll_certificate` in tests/oracles.py).  Squared norms are the working
 currency throughout, which keeps every comparison exact.
 """
@@ -42,7 +43,7 @@ def _shortest_vector_int(
     rows: list[list[int]], beat: int | None = None
 ) -> tuple[tuple[int, ...], int] | None:
     """Shortest nonzero vector of the integer lattice spanned by `rows`, as
-    (vector, norm_sq).
+    (vector, norm_sq), by LLL and enumeration at every rank.
 
     Ties are broken deterministically: among all minimal vectors, after
     flipping signs so the first nonzero coordinate is positive, the
@@ -50,36 +51,17 @@ def _shortest_vector_int(
     as soon as the lattice is known to hold a nonzero vector of squared
     norm <= beat: inside LLL when an input row or a new first row
     qualifies, else at the first such vector the enumeration reaches.
+    Zero or dependent rows raise InputError.
     """
-    n = len(rows)
-    if n == 1:
-        if not any(rows[0]):
-            raise InputError("zero row is not a lattice basis")
-        vec = kernels.canonical_sign(rows[0])
-        least = sum(x * x for x in vec)
-    elif n == 2:
-        try:
-            u, v = kernels.gauss_reduce_2d(rows)
-        except ValueError as exc:
-            raise InputError(str(exc)) from exc
-        candidates = [u, v] + [[a + s * b for a, b in zip(u, v)] for s in (1, -1)]
-        norms = [sum(x * x for x in c) for c in candidates]
-        least = min(norms)
-        vec = min(kernels.canonical_sign(c) for c, nm in zip(candidates, norms) if nm == least)
-    else:
-        try:
-            reduced = kernels.lll_reduce(rows, beat=beat)
-        except ValueError as exc:
-            raise InputError(str(exc)) from exc
-        if reduced is None:
-            return None
-        found = kernels.shortest_vectors(reduced, beat)
-        if found is None:
-            return None
-        least, (vec, *_) = found
-    if beat is not None and least <= beat:
+    try:
+        reduced = kernels.lll_reduce(rows, beat=beat)
+        found = None if reduced is None else kernels.shortest_vectors(reduced, beat)
+    except ValueError as exc:
+        raise InputError(str(exc)) from exc
+    if found is None:
         return None
-    return vec, least
+    least, ties = found
+    return ties[0], least
 
 
 def shortest_vector(

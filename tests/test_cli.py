@@ -160,6 +160,31 @@ class TestHighDimensionFewNodes:
         assert hashlib.sha256(out.encode()).hexdigest() == self.DIGESTS[budget]
 
 
+class TestLowRankShortestVector:
+    """Rank-1 and rank-2 dual lattices take the same LLL + enumeration path
+    as higher ranks.  The outputs are pinned to the SHA-256 of the JSON that
+    the separate rank-1 rule and 2d Gauss reduction printed."""
+
+    DIGESTS = {
+        "spectral --family fibonacci --m 30":
+            "330e882954021f9d92b87d11ac5c67558404aba2399fb5f32a61afc671ef3b03",
+        "search --n 1009 --d 2":
+            "a0a791c14fb11dc5542569457f09a0cb30bbdd1bfc5b8a7080f1bbb163d018fe",
+        "search --n 61 --d 2 --mode exhaustive":
+            "7c9e8c5ab636c59e5b164b0ade873f21e9804348f48881a439e15dcb17c1ff18",
+        "verify --family bad --m 1 --d 2":
+            "3189a7ff405cb55f76c158952e1b367b4f2b486d60df48ce091a4f72eb64ecd8",
+        "spectral --n 7 --generator 1":
+            "12928e945e529fd290d28c96926eb2d923207d15d92954b26f72e9a3c3597a37",
+    }
+
+    @pytest.mark.parametrize("args", sorted(DIGESTS))
+    def test_output_unchanged(self, capsys, args):
+        code, out = run_cli(capsys, *args.split())
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == self.DIGESTS[args]
+
+
 class TestLatticeFactsOnce:
     """One spectral test, one dual and one node enumeration per command:
     the certificates and the estimator take them from the command."""

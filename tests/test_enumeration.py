@@ -257,7 +257,14 @@ class TestGeneratorSearch:
             assert linalg.hnf(RationalMatrix(rows)) == linalg.hnf(RationalMatrix(own))
 
     @pytest.mark.parametrize(
-        "mode,n,d", [("korobov", 31, 3), ("exhaustive", 31, 3), ("exhaustive", 13, 4)]
+        "mode,n,d",
+        [
+            ("korobov", 31, 3),
+            ("exhaustive", 31, 3),
+            ("exhaustive", 13, 4),
+            ("korobov", 31, 2),
+            ("exhaustive", 13, 2),
+        ],
     )
     def test_one_lll_per_generator(self, monkeypatch, mode, n, d):
         # the search may cut LLL and enumeration short, but each generator

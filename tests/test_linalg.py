@@ -138,13 +138,6 @@ class TestHNF:
         m = M([[4, 7], [2, 9]])
         assert hnf(hnf(m)) == hnf(m)
 
-    def test_scale_override(self):
-        m = M([["1/5", "3/5"], [0, 1]])
-        assert hnf(m) == hnf(m, scale=5)
-        assert hnf(m) == hnf(m, scale=10)
-        with pytest.raises(InputError):
-            hnf(m, scale=3)
-
     @given(
         st.lists(
             st.lists(st.integers(-20, 20), min_size=2, max_size=2),

@@ -100,8 +100,10 @@ class TestShortestVector:
         assert norm == 1
 
     def test_zero_row_is_input_error(self):
-        with pytest.raises(InputError):
-            reduction.shortest_vector(RationalMatrix([[0]]))
+        # zero and dependent rows at rank 1 and 2 reach LLL's Gram-Schmidt
+        for rows in ([[0]], [[0, 0], [1, 2]], [[1, 2], [2, 4]]):
+            with pytest.raises(InputError):
+                reduction.shortest_vector(RationalMatrix(rows))
 
     def test_agrees_with_bruteforce_oracle(self):
         rng = random.Random(31337)
