@@ -50,15 +50,6 @@ class GammaValue:
     rational: Fraction
     sqrt_pi: bool
 
-    def bounds(self, digits: int = directed.DEFAULT_DIGITS) -> Bounds:
-        if not self.sqrt_pi:
-            return directed.exact(self.rational)
-        root = directed.sqrt_of_bounds(directed.pi_bounds(digits), digits)
-        return directed.scale(root, self.rational)
-
-    def decimal(self, digits: int = directed.DEFAULT_DIGITS) -> tuple[str, str]:
-        return directed.bounds_decimal(self.bounds(digits), digits)
-
 
 def gamma_half_integer(two_z: int) -> GammaValue:
     """Exact Gamma(two_z / 2) for positive integer two_z.
@@ -281,8 +272,6 @@ def verify_lattice(
     comparisons (the constants are exactly 1 there, so equality is possible
     and interval refinement could never terminate).
     """
-    if not lat.is_integration:
-        raise InputError("verification needs an integration lattice")
     digits = directed._check_digits(digits)
     d = lat.dim
     n = lat.n_points

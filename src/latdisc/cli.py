@@ -323,8 +323,6 @@ def _cmd_certify(args) -> int:
     lat = _lattice_from_args(args)
     digits = _digits_for(args)
     pts = lattice_mod.enumerate_points(lat, cap=args.cap)
-    # the integration check comes before the shortest-vector cap
-    discrepancy._points_for(lat, pts)
     spectral = reduction.spectral_test(lat, svp_cap=args.svp_cap)
     slab = discrepancy.slab_certificate(lat, pts, spectral)
     planes = discrepancy.hyperplane_count_certificate(lat, pts, spectral)

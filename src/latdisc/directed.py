@@ -49,21 +49,10 @@ class Bounds:
         if self.lo > self.hi:
             raise InputError("empty bounds interval")
 
-    @property
-    def width(self) -> Fraction:
-        return self.hi - self.lo
-
-    def __contains__(self, x) -> bool:
-        return self.lo <= x <= self.hi
-
 
 def exact(x) -> Bounds:
     f = x if isinstance(x, Fraction) else Fraction(x)
     return Bounds(f, f)
-
-
-def sub(a: Bounds, b: Bounds) -> Bounds:
-    return Bounds(a.lo - b.hi, a.hi - b.lo)
 
 
 def mul(a: Bounds, b: Bounds) -> Bounds:
@@ -246,12 +235,14 @@ def e_bounds(digits: int = DEFAULT_DIGITS) -> Bounds:
 # certified comparison with refinement
 # ---------------------------------------------------------------------------
 
-def certify_lt(make_a, make_b, digits: int = DEFAULT_DIGITS) -> bool:
-    """Decide a < b where make_a(digits), make_b(digits) return enclosures
+def certify_le(make_a, make_b, digits: int = DEFAULT_DIGITS) -> bool:
+    """Decide a <= b where make_a(digits), make_b(digits) return enclosures
     of a and b that tighten as digits grows.
 
     Returns True when a < b is certified, False when a > b is certified.
-    Raises UndecidableComparisonError if the enclosures still overlap at
+    Only usable when a == b is impossible; equality cases must be routed
+    through exact rational arithmetic by the caller.  Raises
+    UndecidableComparisonError if the enclosures still overlap at
     MAX_DIGITS -- which, for quantities that are provably unequal, means a
     bug rather than bad luck.
     """
@@ -269,15 +260,6 @@ def certify_lt(make_a, make_b, digits: int = DEFAULT_DIGITS) -> bool:
                 f"[{a.lo}, {a.hi}] vs [{b.lo}, {b.hi}]"
             )
         d = min(2 * d, MAX_DIGITS)
-
-
-def certify_le(make_a, make_b, digits: int = DEFAULT_DIGITS) -> bool:
-    """Decide a <= b with the same refinement loop as certify_lt.
-
-    Only usable when a == b is impossible; equality cases must be routed
-    through exact rational arithmetic by the caller.
-    """
-    return certify_lt(make_a, make_b, digits)
 
 
 # ---------------------------------------------------------------------------

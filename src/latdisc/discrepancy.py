@@ -115,12 +115,7 @@ class HyperplaneCountCertificate:
 
 
 def _points_for(lat: IntegrationLattice, points: PointSet) -> PointSet:
-    if not lat.is_integration:
-        raise InputError(
-            "discrepancy certificates need an integration lattice "
-            "(integer-valued dual products)"
-        )
-    if lat.n_points is not None and len(points) != lat.n_points:
+    if len(points) != lat.n_points:
         raise InputError("point set does not match the lattice node count")
     return points
 

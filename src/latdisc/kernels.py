@@ -95,15 +95,14 @@ def integral_gso(rows):
     return d, lam
 
 
-def lll_reduce(rows, delta_num=3, delta_den=4, beat=None):
+def lll_reduce(rows, beat=None):
     """All-integer LLL reduction (de Weger variant) of independent rows.
 
     Works entirely on the integers d_i (Gram determinants of leading blocks)
     and lambda[i][j] = d_{j+1} * mu_{i,j}; every division below is exact.
-    delta = delta_num/delta_den must satisfy 1/4 < delta < 1.
 
     Returns a new list of rows spanning the same lattice, LLL-reduced with
-    parameter delta.  Raises ValueError on dependent rows.
+    parameter delta = 3/4.  Raises ValueError on dependent rows.
 
     With `beat` set, returns None as soon as the lattice is known to hold a
     nonzero vector of squared norm <= beat, as shortest_vectors does: at
@@ -111,8 +110,6 @@ def lll_reduce(rows, delta_num=3, delta_den=4, beat=None):
     when the new first row qualifies (d[1] = ||b_0||^2; only that swap
     changes b_0).  Otherwise the result is the same as without `beat`.
     """
-    if not (4 * delta_num > delta_den and delta_num < delta_den):
-        raise ValueError("delta must satisfy 1/4 < delta < 1")
     if beat is not None and min(_dot(row, row) for row in rows) <= beat:
         return None
     b = [list(row) for row in rows]
@@ -147,7 +144,8 @@ def lll_reduce(rows, delta_num=3, delta_den=4, beat=None):
     while k < n:
         reduce_row(k, k - 1)
         lam_k = lam[k][k - 1]
-        if delta_den * (d[k - 1] * d[k + 1] + lam_k * lam_k) < delta_num * d[k] * d[k]:
+        # Lovasz test at delta = 3/4, in integers
+        if 4 * (d[k - 1] * d[k + 1] + lam_k * lam_k) < 3 * d[k] * d[k]:
             swap_rows(k)
             if k == 1 and beat is not None and d[1] <= beat:
                 return None

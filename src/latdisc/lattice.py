@@ -1,7 +1,9 @@
 """Integration lattices, their duals, and point enumeration.
 
 An integration lattice is a full-rank lattice L in R^d that contains the
-integer lattice Z^d.  Its node set P = L intersected with [0,1)^d is finite,
+integer lattice Z^d; it is the only kind of lattice this package builds, and
+a basis whose lattice misses a unit vector is refused with that vector as
+the witness.  Its node set P = L intersected with [0,1)^d is finite,
 of size N = 1/det(L) (det taken over any basis), and is exactly the point
 set a lattice rule integrates over.  The dual lattice
 
@@ -46,35 +48,26 @@ class IntegrationLattice:
     basis : RationalMatrix
         Canonical (HNF) basis, rows are basis vectors.
     dim : int
-    n_points : int or None
-        N = det(dual) = number of nodes in [0,1)^d.  None for lattices
-        admitted by the relaxed constructor, where the unit-cube count is
-        whatever enumerate_points finds.
-    is_integration : bool
-        True when Z^d <= L was verified.
+    n_points : int
+        N = det(dual) = number of nodes in [0,1)^d.
     rank1_data : (n, generator) or None
         Set when the lattice was built as a rank-1 rule; presentational
         only (serialization uses it for the compact JSON form).
     """
 
-    __slots__ = ("basis", "dim", "n_points", "is_integration", "rank1_data")
+    __slots__ = ("basis", "dim", "n_points", "rank1_data")
 
-    def __init__(self, basis, dim, n_points, is_integration, rank1_data=None):
+    def __init__(self, basis, dim, n_points, rank1_data=None):
         self.basis = basis
         self.dim = dim
         self.n_points = n_points
-        self.is_integration = is_integration
         self.rank1_data = rank1_data
 
     def __eq__(self, other):
-        return (
-            isinstance(other, IntegrationLattice)
-            and self.basis == other.basis
-            and self.is_integration == other.is_integration
-        )
+        return isinstance(other, IntegrationLattice) and self.basis == other.basis
 
     def __hash__(self):
-        return hash((self.basis, self.is_integration))
+        return hash(self.basis)
 
     def __repr__(self):
         if self.rank1_data is not None:
@@ -109,15 +102,6 @@ class DualLattice:
 
     def __repr__(self):
         return f"DualLattice(dim={self.dim}, det={self.det_value})"
-
-    def integer_rows(self) -> list[list[int]]:
-        """Basis rows as plain ints; raises if any entry is fractional."""
-        rows = []
-        for row in self.basis.rows:
-            if any(x.denominator != 1 for x in row):
-                raise InputError("dual basis is not integral (relaxed lattice)")
-            rows.append([int(x) for x in row])
-        return rows
 
 
 class PointSet:
@@ -202,16 +186,13 @@ def from_rank1(n: int, generator: Iterable[int]) -> IntegrationLattice:
     )
     basis = linalg.hnf(RationalMatrix(rows))
     n_points = _point_count_from_basis(basis)
-    return IntegrationLattice(basis, d, n_points, True, rank1_data=(n, g))
+    return IntegrationLattice(basis, d, n_points, rank1_data=(n, g))
 
 
-def from_basis(rows, relaxed: bool = False) -> IntegrationLattice:
-    """Lattice spanned by the given basis rows, canonicalized to HNF.
-
-    By default the result must be an integration lattice (contain Z^d);
-    a violating unit vector is reported otherwise.  With relaxed=True any
-    full-rank lattice is accepted, for the constructions and bounds that
-    hold without the Z^d <= L hypothesis.
+def from_basis(rows) -> IntegrationLattice:
+    """Integration lattice spanned by the given basis rows, canonicalized to
+    HNF.  Raises NotIntegrationLatticeError, with the first unit vector the
+    lattice misses as witness, when it does not contain Z^d.
     """
     matrix = rows if isinstance(rows, RationalMatrix) else RationalMatrix(rows)
     if not matrix.is_square:
@@ -221,16 +202,13 @@ def from_basis(rows, relaxed: bool = False) -> IntegrationLattice:
     inv = linalg.inverse(basis)
     # Z^d <= L  iff  every unit vector e_i is an integer combination of the
     # basis rows; the coefficient vector of e_i is row i of basis^-1.
-    if all(c.denominator == 1 for row in inv.rows for c in row):
-        return IntegrationLattice(basis, d, _point_count_from_basis(basis), True)
-    if not relaxed:
-        for i in range(d):
-            if any(c.denominator != 1 for c in inv.rows[i]):
-                raise NotIntegrationLatticeError(
-                    f"unit vector e_{i + 1} is not in the lattice",
-                    witness=tuple(int(j == i) for j in range(d)),
-                )
-    return IntegrationLattice(basis, d, None, False)
+    for i, row in enumerate(inv.rows):
+        if any(c.denominator != 1 for c in row):
+            raise NotIntegrationLatticeError(
+                f"unit vector e_{i + 1} is not in the lattice",
+                witness=tuple(int(j == i) for j in range(d)),
+            )
+    return IntegrationLattice(basis, d, _point_count_from_basis(basis))
 
 
 def _point_count_from_basis(basis: RationalMatrix) -> int:
@@ -244,17 +222,16 @@ def _point_count_from_basis(basis: RationalMatrix) -> int:
 def dual(lattice: IntegrationLattice) -> DualLattice:
     """The dual lattice, with canonical HNF basis.
 
-    For integration lattices the dual basis is integral and its determinant
+    The dual basis of an integration lattice is integral and its determinant
     equals the node count N; both facts are verified here.
     """
     inv_t = linalg.inverse(lattice.basis).transpose()
     basis = linalg.hnf(inv_t)
     det_value = linalg.det(basis)
-    if lattice.is_integration:
-        if any(x.denominator != 1 for row in basis.rows for x in row):
-            raise InputError("dual of an integration lattice must be integral (bug)")
-        if det_value != lattice.n_points:
-            raise InputError("dual determinant does not equal the node count (bug)")
+    if any(x.denominator != 1 for row in basis.rows for x in row):
+        raise InputError("dual of an integration lattice must be integral (bug)")
+    if det_value != lattice.n_points:
+        raise InputError("dual determinant does not equal the node count (bug)")
     return DualLattice(basis, lattice.dim, det_value)
 
 
@@ -266,10 +243,11 @@ def enumerate_points(
     Walks the HNF basis, scaled by q to integer rows, level by level: since
     the basis is upper triangular with positive diagonal, fixing coordinates
     left to right turns the cube constraint 0 <= X < q into one integer
-    interval per level.  Raises CapExceededError when more than `cap` points
-    would be produced (a desk-scale limit, not a failure of the input).
+    interval per level.  Raises CapExceededError, before the walk, when the
+    N nodes are more than `cap` (a desk-scale limit, not a failure of the
+    input).
     """
-    if lattice.n_points is not None and lattice.n_points > cap:
+    if lattice.n_points > cap:
         raise CapExceededError(
             f"lattice has {lattice.n_points} points, cap is {cap}"
         )
@@ -287,8 +265,6 @@ def enumerate_points(
             for c in cs:
                 walk(level + 1, tuple(a + c * b for a, b in zip(v, row)))
             return
-        if len(nodes) + len(cs) > cap:
-            raise CapExceededError(f"more than {cap} lattice points in the cube")
         nodes.extend(v[:-1] + (base + c * pivot,) for c in cs)
 
     walk(0, (0,) * d)
@@ -312,8 +288,6 @@ def to_json(lattice: IntegrationLattice) -> str:
             "n": lattice.n_points,
             "basis": lattice.basis.to_string_rows(),
         }
-        if not lattice.is_integration:
-            payload["integration"] = False
     return json.dumps(payload, sort_keys=True)
 
 
@@ -346,8 +320,7 @@ def from_json(text: str) -> IntegrationLattice:
         rows = payload.get("basis")
         if not isinstance(rows, list) or len(rows) != dim:
             raise InputError("basis JSON needs a d x d 'basis' array")
-        relaxed = payload.get("integration") is False
-        lattice = from_basis(rows, relaxed=relaxed)
+        lattice = from_basis(rows)
         stated_n = payload.get("n")
         if stated_n is not None and not _is_int(stated_n):
             raise InputError("basis JSON 'n' must be an integer")

@@ -97,12 +97,6 @@ class RationalMatrix:
     def is_square(self) -> bool:
         return self.n_rows == self.n_cols
 
-    @staticmethod
-    def identity(n: int) -> "RationalMatrix":
-        return RationalMatrix(
-            [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-        )
-
     def __getitem__(self, index) -> Fraction:
         i, j = index
         return self.rows[i][j]
@@ -119,14 +113,6 @@ class RationalMatrix:
 
     def transpose(self) -> "RationalMatrix":
         return RationalMatrix(list(zip(*self.rows)))
-
-    def __matmul__(self, other: "RationalMatrix") -> "RationalMatrix":
-        if self.n_cols != other.n_rows:
-            raise InputError("matrix dimensions do not match for multiplication")
-        cols = other.transpose().rows
-        return RationalMatrix(
-            [[dot(row, col) for col in cols] for row in self.rows]
-        )
 
     def scaled_integer_rows(self) -> tuple[list[list[int]], int]:
         """Return (integer rows, scale) with integer_rows == scale * self.

@@ -105,9 +105,6 @@ class SpectralResult:
     sigma_decimal: str
     digits: int
 
-    def sigma_bounds(self) -> directed.Bounds:
-        return directed.sqrt_bounds(self.sigma_sq, self.digits)
-
 
 def spectral_test(
     lat: "lattice_mod.IntegrationLattice",
@@ -116,13 +113,12 @@ def spectral_test(
 ) -> SpectralResult:
     """Spectral test sigma(L): shortest dual vector, exactly.
 
-    For integration lattices the dual is integral, so the witness vector is
+    The dual is integral (lattice.dual checks it), so the witness vector is
     returned with int coordinates.
     """
     dual = lattice_mod.dual(lat)
     vec, norm_sq = shortest_vector(dual.basis, svp_cap=svp_cap)
-    if all(x.denominator == 1 for x in vec):
-        vec = tuple(int(x) for x in vec)
+    vec = tuple(int(x) for x in vec)
     sigma_sq = 1 / norm_sq
     sigma_lo = directed.sqrt_bounds(sigma_sq, digits).lo
     return SpectralResult(

@@ -173,13 +173,6 @@ def halfspace_cube_volume(normal, offset) -> Fraction:
     return Fraction(section.numerator(t.numerator), section.den)
 
 
-def _product(values) -> Fraction:
-    result = Fraction(1)
-    for v in values:
-        result *= v
-    return result
-
-
 def body_volume(body: ConvexBody) -> Fraction:
     """Exact volume of the body intersected with the unit cube."""
     if isinstance(body, Halfspace):
@@ -191,7 +184,7 @@ def body_volume(body: ConvexBody) -> Fraction:
             body.normal, body.lo
         )
     if isinstance(body, AxisBox):
-        return _product(b - a for a, b in zip(body.lo, body.hi))
+        return prod(b - a for a, b in zip(body.lo, body.hi))
     raise InputError(f"unknown body type {type(body).__name__}")
 
 

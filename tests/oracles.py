@@ -12,6 +12,8 @@
 - LLL reduction: lll_certificate re-derives the Gram-Schmidt data of the
   integer kernel's output in Fractions and checks every reducedness claim;
   lattice_contains tests lattice membership through the inverse basis.
+- Small exact helpers no command needs: identity and matmul for
+  RationalMatrix, and gamma_bounds, the enclosure of a GammaValue.
 
 Only the tests use them, so they live with the tests rather than in the
 package.
@@ -210,20 +212,36 @@ def lattice_contains(basis, x) -> bool:
     return all(linalg.dot(x, col).denominator == 1 for col in inverse.transpose().rows)
 
 
-def lll_certificate(rows, reduced, delta=Fraction(3, 4)) -> dict[str, bool]:
+def identity(n: int) -> linalg.RationalMatrix:
+    """The n x n identity matrix."""
+    return linalg.RationalMatrix([[int(i == j) for j in range(n)] for i in range(n)])
+
+
+def matmul(a: linalg.RationalMatrix, b: linalg.RationalMatrix) -> linalg.RationalMatrix:
+    """The exact product a b."""
+    cols = b.transpose().rows
+    return linalg.RationalMatrix([[linalg.dot(row, col) for col in cols] for row in a.rows])
+
+
+def gamma_bounds(gamma, digits: int) -> directed.Bounds:
+    """Enclosure of a bounds.GammaValue, rational * sqrt(pi)^{0,1}."""
+    if not gamma.sqrt_pi:
+        return directed.exact(gamma.rational)
+    root = directed.sqrt_of_bounds(directed.pi_bounds(digits), digits)
+    return directed.scale(root, gamma.rational)
+
+
+def lll_certificate(rows, reduced) -> dict[str, bool]:
     """Exact re-check that `reduced` is an LLL-reduced basis of the lattice
     spanned by `rows`, from Fraction Gram-Schmidt data:
 
     - size_reduced: |mu_{i,j}| <= 1/2 for j < i;
-    - lovasz: the Lovasz condition at `delta`;
+    - lovasz: the Lovasz condition at delta = 3/4, the kernel's;
     - prop_a: ||b*_j||^2 <= 2^(i-j) ||b*_i||^2 for all j <= i;
     - prop_b: ||b_i||^2 <= 2^(d-1) ||b*_i||^2;
     - chain: 2^(d-1) ||b*_d||^2 >= max_i ||b*_i||^2 and
       2^(d-1) max_i ||b*_i||^2 >= max_i ||b_i||^2;
     - same_lattice: equal Hermite normal forms.
-
-    (a), (b) and the chain use base 2 whatever delta is; they are theorems
-    for delta >= 3/4 only.
     """
     basis = linalg.RationalMatrix(reduced)
     gso, mu = linalg.gram_schmidt(basis)
@@ -237,7 +255,8 @@ def lll_certificate(rows, reduced, delta=Fraction(3, 4)) -> dict[str, bool]:
             abs(mu[i, j]) <= Fraction(1, 2) for i in range(n) for j in range(i)
         ),
         "lovasz": all(
-            star[k] >= (delta - mu[k, k - 1] ** 2) * star[k - 1] for k in range(1, n)
+            star[k] >= (Fraction(3, 4) - mu[k, k - 1] ** 2) * star[k - 1]
+            for k in range(1, n)
         ),
         "prop_a": all(
             star[j] <= 2 ** (i - j) * star[i] for i in range(n) for j in range(i + 1)

@@ -7,8 +7,9 @@ from fractions import Fraction
 
 import pytest
 
+import oracles
 from latdisc import bounds, constructions, directed, lattice, reduction
-from latdisc.errors import InputError, InvariantViolationError
+from latdisc.errors import InputError
 
 F = Fraction
 
@@ -49,7 +50,8 @@ class TestGammaHalfInteger:
             assert g_next.sqrt_pi == g.sqrt_pi
 
     def test_decimal_enclosure(self):
-        assert bounds.gamma_half_integer(5).decimal(30) == GAMMA_5_HALVES
+        enclosure = oracles.gamma_bounds(bounds.gamma_half_integer(5), 30)
+        assert directed.bounds_decimal(enclosure, 30) == GAMMA_5_HALVES
 
     def test_nonpositive_rejected(self):
         with pytest.raises(InputError):
@@ -195,11 +197,6 @@ class TestVerifyLattice:
     def test_certified_lb_below_upper(self):
         rep = bounds.verify_lattice(constructions.fibonacci_lattice(10))
         assert rep.certified_jn_lb**2 <= rep.jn_upper_sq
-
-    def test_relaxed_lattice_rejected(self):
-        rel = lattice.from_basis([[2, 0], [0, 1]], relaxed=True)
-        with pytest.raises(InputError):
-            bounds.verify_lattice(rel)
 
     def test_to_dict_json_safe(self):
         rep = bounds.verify_lattice(lattice.from_rank1(5, (1, 3)))

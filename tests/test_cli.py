@@ -368,28 +368,27 @@ class TestErrorPaths:
 
     @pytest.mark.parametrize("d", [2, 13])
     @pytest.mark.parametrize(
-        "command,message",
-        [
-            ("certify", "discrepancy certificates need an integration lattice "
-             "(integer-valued dual products)"),
-            ("verify", "verification needs an integration lattice"),
-        ],
-        ids=["certify", "verify"],
+        "command", ["construct", "spectral", "points", "certify", "verify"]
     )
     def test_non_integration_basis_refused_before_svp(
-        self, capsys, tmp_path, d, command, message
+        self, capsys, tmp_path, d, command
     ):
         # diag(2, 1, ..., 1); at d = 13 the shortest-vector cap (12) would
-        # also be exceeded, so this checks which error comes first
+        # also be exceeded, so this checks which error comes first.  The
+        # retired "integration": false key changes nothing.
         basis = [[str(2 if i == j == 0 else int(i == j)) for j in range(d)]
                  for i in range(d)]
-        path = tmp_path / "rel.json"
-        path.write_text(json.dumps(
-            {"kind": "basis", "dim": d, "integration": False, "basis": basis}
-        ))
-        assert cli.main([command, "--in", str(path)]) == 2
-        err = capsys.readouterr().err.splitlines()
-        assert err == [f"latdisc: input error: {message}"]
+        for extra in ({}, {"integration": False}):
+            path = tmp_path / "rel.json"
+            path.write_text(json.dumps(
+                {"kind": "basis", "dim": d, "basis": basis, **extra}
+            ))
+            assert cli.main([command, "--in", str(path)]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.splitlines() == [
+                "latdisc: input error: unit vector e_1 is not in the lattice"
+            ]
 
     def test_unknown_family_rejected(self, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -11,7 +11,6 @@ from latdisc.directed import (
     Bounds,
     bounds_decimal,
     certify_le,
-    certify_lt,
     decimal_str,
     e_bounds,
     exact,
@@ -54,7 +53,7 @@ class TestRootBounds:
     def test_sqrt2_encloses(self):
         b = sqrt_bounds(2, 40)
         assert b.lo**2 <= 2 <= b.hi**2
-        assert b.width <= F(1, 10**38)
+        assert b.hi - b.lo <= F(1, 10**38)
 
     @given(
         st.fractions(min_value=F(1, 1000), max_value=10**6),
@@ -65,7 +64,7 @@ class TestRootBounds:
         b = nth_root_bounds(x, n, 30)
         assert b.lo >= 0
         assert b.lo**n <= x <= b.hi**n
-        assert b.width <= F(1, 10**28) * max(1, b.hi)
+        assert b.hi - b.lo <= F(1, 10**28) * max(1, b.hi)
 
     def test_negative_rejected(self):
         with pytest.raises(InputError):
@@ -79,14 +78,14 @@ class TestRootBounds:
 class TestConstants:
     def test_pi_enclosure(self):
         b = pi_bounds(50)
-        assert b.width <= F(1, 10**48)
+        assert b.hi - b.lo <= F(1, 10**48)
         # the enclosure and the reference interval must overlap
         assert b.lo <= PI_REF + PI_GAP
         assert PI_REF <= b.hi
 
     def test_e_enclosure(self):
         b = e_bounds(50)
-        assert b.width <= F(1, 10**48)
+        assert b.hi - b.lo <= F(1, 10**48)
         assert b.lo <= E_REF + E_GAP
         assert E_REF <= b.hi
 
@@ -117,15 +116,15 @@ class TestIntervalArithmetic:
 
 class TestCertify:
     def test_certify_true_and_false(self):
-        assert certify_lt(lambda d: sqrt_bounds(2, d), lambda d: exact(F(3, 2)), 30)
-        assert not certify_lt(
+        assert certify_le(lambda d: sqrt_bounds(2, d), lambda d: exact(F(3, 2)), 30)
+        assert not certify_le(
             lambda d: exact(F(3, 2)), lambda d: sqrt_bounds(2, d), 30
         )
 
     def test_certify_refines(self):
         # 355/113 approximates pi to 2.7e-7, so 30-digit enclosures decide
         # it immediately, but a coarse starting interval must still refine
-        assert certify_lt(
+        assert certify_le(
             lambda d: pi_bounds(max(d, 30)), lambda d: exact(F(355, 113)), 30
         )
 

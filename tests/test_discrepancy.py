@@ -125,11 +125,6 @@ class TestSlabCertificate:
         pts = lattice.enumerate_points(lat)
         assert not any(volume.body_contains(cert.body, p) for p in pts)
 
-    def test_relaxed_lattice_rejected(self):
-        relaxed = lattice.from_basis([[2, 0], [0, 1]], relaxed=True)
-        with pytest.raises(InputError):
-            discrepancy.slab_certificate(*_facts(relaxed))
-
     def test_dict_round_trips_body(self):
         lat, _ = _rule(5, (1, 3))
         data = discrepancy.slab_certificate(*_facts(lat)).to_dict()

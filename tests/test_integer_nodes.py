@@ -3,9 +3,9 @@
 Nodes are integer numerators over a shared denominator, and every per-node
 pass compares integers against thresholds scaled once per body.  These
 properties pin that to the rational reference on the cases that matter:
-rank-1 rules with gcd > 1 and g[0] != 1, re-presented bases, relaxed
-lattices, and bodies whose offsets and corners sit exactly on node values,
-open and closed.
+rank-1 rules with gcd > 1 and g[0] != 1, re-presented bases, lattices
+given by an arbitrary integer dual basis, and bodies whose offsets and
+corners sit exactly on node values, open and closed.
 """
 
 from fractions import Fraction
@@ -13,6 +13,7 @@ from fractions import Fraction
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from latdisc import lattice, linalg, volume
 from latdisc.volume import AxisBox, Halfspace, Slab
 
@@ -74,14 +75,15 @@ def represented_rules(draw):
     """A rank-1 rule handed in as a non-canonical basis of the same lattice."""
     lat = draw(rank1_rules())
     u = draw(unimodular(lat.dim))
-    rows = (linalg.RationalMatrix(u) @ lat.basis).rows
+    rows = oracles.matmul(linalg.RationalMatrix(u), lat.basis).rows
     return lattice.from_basis(rows)
 
 
 @st.composite
-def relaxed_lattices(draw):
+def dual_spanned(draw):
+    """The integration lattice whose dual is spanned by a random integer
+    basis: its basis is the inverse transpose of that one."""
     d = draw(st.integers(1, 3))
-    s = draw(st.integers(1, 4))
     m = draw(
         st.lists(
             st.lists(st.integers(-3, 3), min_size=d, max_size=d),
@@ -89,10 +91,10 @@ def relaxed_lattices(draw):
             max_size=d,
         ).filter(lambda m: linalg.det(linalg.RationalMatrix(m)) != 0)
     )
-    return lattice.from_basis([[F(x, s) for x in row] for row in m], relaxed=True)
+    return lattice.from_basis(linalg.inverse(linalg.RationalMatrix(m)).transpose())
 
 
-lattices = st.one_of(rank1_rules(), represented_rules(), relaxed_lattices())
+lattices = st.one_of(rank1_rules(), represented_rules(), dual_spanned())
 
 
 @st.composite
@@ -133,6 +135,7 @@ class TestIntegerNodes:
         pts = lattice.enumerate_points(lat, cap=CAP)
         reference = _fraction_walk(lat)
         assert list(pts) == reference
+        assert len(reference) == lat.n_points
         assert pts.points == tuple(reference)
         assert pts == lattice.PointSet(reference, lat.dim)
         q = pts.denominator
