@@ -191,13 +191,12 @@ def minkowski_sigma_check(
     e = d - s
     if e == 0:
         return rhs_rational <= lhs
-    return directed.certify_le(
-        lambda dg: directed.scale(
-            directed.pow_int(directed.pi_bounds(dg), e), rhs_rational
-        ),
-        lambda dg: directed.exact(lhs),
-        digits,
-    )
+
+    def rhs(dg):
+        pi = directed.pi_bounds(dg)  # pi > 0 and e >= 1
+        return directed.scale(directed.Bounds(pi.lo**e, pi.hi**e), rhs_rational)
+
+    return directed.certify_le(rhs, lambda dg: directed.exact(lhs), digits)
 
 
 # ---------------------------------------------------------------------------
@@ -349,18 +348,8 @@ REPORT_COLUMNS = [
 def report_row(report: BoundsReport) -> list[str]:
     failed = sorted(k for k, ok in report.checks.items() if not ok)
     verdict = "pass" if not failed else "fail:" + ",".join(failed)
-    return [
-        report.name,
-        str(report.dim),
-        str(report.n_points),
-        str(report.sigma_sq),
-        report.sigma_decimal,
-        report.minkowski_sigma_lb_decimal,
-        report.jn_upper_decimal,
-        str(report.certified_jn_lb),
-        report.certified_jn_lb_decimal,
-        verdict,
-    ]
+    cells = report.to_dict()
+    return [str(cells[k]) for k in REPORT_COLUMNS[:-1]] + [verdict]
 
 
 def write_reports_csv(reports, fileobj) -> None:

@@ -164,9 +164,6 @@ class GeneratorSearchResult:
     digits: int
     n_searched: int
 
-    def lattice(self) -> IntegrationLattice:
-        return from_rank1(self.n, self.generator)
-
     def to_dict(self) -> dict:
         return {
             "n": self.n,

@@ -77,22 +77,6 @@ def div(a: Bounds, b: Bounds) -> Bounds:
     return mul(a, recip(b))
 
 
-def pow_int(a: Bounds, k: int) -> Bounds:
-    """Tight enclosure of x^k over the interval (monotone-piece analysis,
-    so even powers of sign-crossing intervals bottom out at 0)."""
-    if k < 0:
-        return recip(pow_int(a, -k))
-    if k == 0:
-        return exact(1)
-    lo_k = a.lo**k
-    hi_k = a.hi**k
-    if k % 2 == 1 or a.lo >= 0:
-        return Bounds(lo_k, hi_k)
-    if a.hi <= 0:
-        return Bounds(hi_k, lo_k)
-    return Bounds(Fraction(0), max(lo_k, hi_k))
-
-
 # ---------------------------------------------------------------------------
 # roots
 # ---------------------------------------------------------------------------
@@ -128,16 +112,6 @@ def floor_sqrt(x: Fraction) -> int:
 
 def sqrt_bounds(x, digits: int = DEFAULT_DIGITS) -> Bounds:
     """Enclosure of sqrt(x) for rational x >= 0; exact for perfect squares."""
-    x = Fraction(x)
-    _check_digits(digits)
-    if x < 0:
-        raise InputError("square root of a negative value")
-    if x == 0:
-        return exact(0)
-    rn = math.isqrt(x.numerator)
-    rd = math.isqrt(x.denominator)
-    if rn * rn == x.numerator and rd * rd == x.denominator:
-        return exact(Fraction(rn, rd))
     return nth_root_bounds(x, 2, digits)
 
 

@@ -27,21 +27,24 @@ sigma-based upper bound d^2 2^d sigma(L), is carried in exact squared form.
 The search's scans compare candidates with the incumbent in integers
 (integer node counts against the integer volume numerators of
 volume.CubeSection) and build a body and a Fraction only for a candidate
-that ties or beats the incumbent; the certificate bodies are re-checked and
-the winning witnesses re-verified literally, as before.
+that ties or beats the incumbent.  The node counts are running counts over
+the sorted distinct node values of one direction or axis, and the gap
+slabs between adjacent values are empty by construction, like the slab
+certificate.  The search stops at the first evaluation past its budget;
+the certificate bodies are re-checked and the winning witnesses
+re-verified literally, as before.
 """
 
 from __future__ import annotations
 
 import json
 import random
-from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
-from . import directed, reduction, volume
+from . import directed, kernels, reduction, volume
 from .errors import InputError, InvariantViolationError
 from .lattice import IntegrationLattice, PointSet
 from .volume import AxisBox, ConvexBody, Halfspace, Slab
@@ -240,16 +243,14 @@ class DiscrepancyEstimate:
 
 def _primitive_direction(vec) -> tuple[int, ...] | None:
     """Scale an integer vector to primitive form with positive leading sign."""
-    g = 0
-    for x in vec:
-        g = gcd(g, abs(x))
+    g = gcd(*vec)
     if g == 0:
         return None
-    reduced = tuple(x // g for x in vec)
-    for x in reduced:
-        if x != 0:
-            return reduced if x > 0 else tuple(-y for y in reduced)
-    return None
+    return kernels.canonical_sign([x // g for x in vec])
+
+
+class _OutOfBudget(Exception):
+    """Raised by _Search.spend once every evaluation has been spent."""
 
 
 class _Search:
@@ -258,10 +259,14 @@ class _Search:
     The scans compare each candidate with the incumbent in integers: its
     discrepancy is count/N - num/den with integer node counts and the
     integer volume numerators of volume.CubeSection, so a candidate is one
-    cross-multiplication.  A body and a Fraction are built only for a
-    candidate that ties or beats the incumbent, and `record` sees exactly
-    the bodies and values a body-by-body search would have recorded.  The
-    winning witnesses are still re-verified literally by the estimator."""
+    cross-multiplication.  Node counts are running counts over the sorted
+    distinct values of one Counter, and a gap slab between adjacent values
+    holds no node by construction.  A body and a Fraction are built only
+    for a candidate that ties or beats the incumbent, and `record` sees
+    exactly the bodies and values a body-by-body search would have
+    recorded.  `spend` raises _OutOfBudget at the first evaluation past the
+    budget.  The winning witnesses are still re-verified literally by the
+    estimator."""
 
     def __init__(self, points: PointSet, budget: int, seed: int):
         self.points = points
@@ -276,7 +281,7 @@ class _Search:
         self._witness_set: set[ConvexBody] = set()  # membership for ties
         self.rng = random.Random(seed)
         self.scanned: set[tuple[int, ...]] = set()
-        self._axis_interior: list[list[int]] | None = None
+        self._axis_interior: list[Counter] | None = None
         self._axis_pools: dict[int, list[int]] = {}
 
     def record(self, body: ConvexBody, delta: Fraction):
@@ -295,32 +300,27 @@ class _Search:
         best = self.best
         return num != 0 and abs(num) * best.denominator >= best.numerator * den
 
-    def spend(self) -> bool:
+    def spend(self) -> None:
         if self.evaluations >= self.budget:
-            return False
+            raise _OutOfBudget
         self.evaluations += 1
-        return True
-
-    def evaluate_literal(self, body: ConvexBody) -> bool:
-        if not self.spend():
-            return False
-        self.record(body, volume.local_discrepancy(self.points, body))
-        return True
 
     # -- normal-direction scans -------------------------------------------
 
-    def scan_normal(self, direction: tuple[int, ...]) -> bool:
+    def scan_normal(self, direction: tuple[int, ...]) -> None:
         """Evaluate halfspaces and gap slabs for one normal direction at all
-        point-induced critical offsets.  Returns False once out of budget.
+        point-induced critical offsets.
 
         A candidate's discrepancy is (count * den - N * num(v)) / (N * den),
         with num(v) / den its volume from one CubeSection per direction; a
-        slab's volume is num(hi) - num(lo) over the same den."""
+        slab's volume is num(hi) - num(lo) over the same den.  A gap slab
+        lies between adjacent node values (or a node value and an end of
+        the cube), so it holds no node."""
         if direction in self.scanned:
-            return True
+            return
         self.scanned.add(direction)
-        values = sorted(self.points.products(direction))
-        unique = sorted(set(values))
+        counts = Counter(self.points.products(direction))
+        unique = sorted(counts)
         n, q = self.n, self.q
         section = volume.CubeSection(direction, q)
         den = section.den
@@ -328,42 +328,40 @@ class _Search:
         cube_lo = q * sum(min(a, 0) for a in direction)
         cube_hi = q * sum(max(a, 0) for a in direction)
         nums = []
+        below = 0
         for v in unique:
-            if not self.spend():
-                return False
+            self.spend()
             num = section.numerator(v)
             nums.append(num)
-            delta = bisect_right(values, v) * den - n * num
+            delta = (below + counts[v]) * den - n * num
             if self._beats(delta, total):
                 body = Halfspace(direction, Fraction(v, q), closed=True)
                 self.record(body, Fraction(delta, total))
-            if not self.spend():
-                return False
-            delta = bisect_left(values, v) * den - n * num
+            self.spend()
+            delta = below * den - n * num
             if self._beats(delta, total):
                 body = Halfspace(direction, Fraction(v, q), closed=False)
                 self.record(body, Fraction(delta, total))
+            below += counts[v]
         previous, low = cube_lo, 0
         for v, high in zip(unique + [cube_hi], nums + [den]):
             if v > previous:
-                if not self.spend():
-                    return False
-                inside = bisect_left(values, v) - bisect_right(values, previous)
-                delta = inside * den - n * (high - low)
+                self.spend()
+                delta = -n * (high - low)
                 if self._beats(delta, total):
                     body = Slab(direction, Fraction(previous, q), Fraction(v, q), open=True)
                     self.record(body, Fraction(delta, total))
                 previous, low = v, high
-        return True
 
     # -- axis boxes ---------------------------------------------------------
 
-    def _interior_projections(self) -> list[list[int]]:
-        """Per axis, the sorted numerators along it of the nodes interior
-        (0 < X_k < q) in every other coordinate; one pass over the nodes."""
+    def _interior_projections(self) -> list[Counter]:
+        """Per axis, a Counter of the numerators along it of the nodes
+        interior (0 < X_k < q) in every other coordinate; one pass over the
+        nodes."""
         if self._axis_interior is None:
             q = self.q
-            proj: list[list[int]] = [[] for _ in range(self.dim)]
+            proj = [Counter() for _ in range(self.dim)]
             interior = []
             for x in self.nodes:
                 if 0 < min(x) and max(x) < q:
@@ -372,56 +370,52 @@ class _Search:
                 outside = [k for k, xc in enumerate(x) if not 0 < xc < q]
                 if len(outside) == 1:
                     k = outside[0]
-                    proj[k].append(x[k])
-            for column, values in zip(zip(*interior), proj):
-                values.extend(column)
-            for values in proj:
-                values.sort()
+                    proj[k][x[k]] += 1
+            for column, counts in zip(zip(*interior), proj):
+                counts.update(column)
             self._axis_interior = proj
         return self._axis_interior
 
-    def scan_axis_boxes(self, axis: int) -> bool:
+    def scan_axis_boxes(self, axis: int) -> None:
         """Open boxes spanning the cube except along one axis, cut at every
-        point-induced critical value.  Returns False once out of budget.
+        point-induced critical value v in (0, q].
 
         The box cut at v / q has volume v / q (or (q - v) / q), so its
-        discrepancy is (count * q - N * v) / (N * q)."""
-        proj = self._interior_projections()[axis]
+        discrepancy is (count * q - N * v) / (N * q); the counts run over
+        the projections in (0, v) and in (v, q)."""
+        counts = self._interior_projections()[axis]
         n, q = self.n, self.q
         total = n * q
-        pool = sorted(set(x[axis] for x in self.nodes if 0 < x[axis] < q))
         d = self.dim
         ones = tuple(Fraction(1) for _ in range(d))
         zeros = tuple(Fraction(0) for _ in range(d))
-        for v in pool + [q]:
-            if v > 0:
-                if not self.spend():
-                    return False
-                inside = bisect_left(proj, v) - bisect_right(proj, 0)
-                delta = inside * q - n * v
-                if self._beats(delta, total):
-                    cut = Fraction(v, q)
-                    hi = tuple(cut if k == axis else Fraction(1) for k in range(d))
-                    self.record(AxisBox(zeros, hi, open=True), Fraction(delta, total))
+        below, above = 0, sum(counts.values()) - counts[0]
+        for v in self._pool(axis)[1:]:
+            self.spend()
+            delta = below * q - n * v
+            if self._beats(delta, total):
+                cut = Fraction(v, q)
+                hi = tuple(cut if k == axis else Fraction(1) for k in range(d))
+                self.record(AxisBox(zeros, hi, open=True), Fraction(delta, total))
             if v < q:
-                if not self.spend():
-                    return False
-                inside = bisect_left(proj, q) - bisect_right(proj, v)
-                delta = inside * q - n * (q - v)
+                above -= counts[v]
+                self.spend()
+                delta = above * q - n * (q - v)
                 if self._beats(delta, total):
                     cut = Fraction(v, q)
                     lo = tuple(cut if k == axis else Fraction(0) for k in range(d))
                     self.record(AxisBox(lo, ones, open=True), Fraction(delta, total))
-        return True
+                below += counts[v]
 
     def _pool(self, axis: int) -> list[int]:
+        """The sorted numerators 0, q and every node's along `axis`."""
         if axis not in self._axis_pools:
             values = {0, self.q}
             values.update(x[axis] for x in self.nodes)
             self._axis_pools[axis] = sorted(values)
         return self._axis_pools[axis]
 
-    def random_box(self) -> bool:
+    def random_box(self) -> None:
         lo = []
         hi = []
         for axis in range(self.dim):
@@ -435,7 +429,9 @@ class _Search:
         is_open = self.rng.random() < 0.5
         if is_open and any(a == b for a, b in zip(lo, hi)):
             is_open = False
-        return self.evaluate_literal(AxisBox(tuple(lo), tuple(hi), open=is_open))
+        body = AxisBox(tuple(lo), tuple(hi), open=is_open)
+        self.spend()
+        self.record(body, volume.local_discrepancy(self.points, body))
 
     def random_normal(self) -> tuple[int, ...] | None:
         raw = [
@@ -499,30 +495,23 @@ def estimate_isotropic_discrepancy(
             mandatory_normals.append(direction)
 
     for axis in range(d):
-        e = tuple(int(k == axis) for k in range(d))
-        if e not in mandatory_normals:
-            mandatory_normals.append(e)
+        mandatory_normals.append(tuple(int(k == axis) for k in range(d)))
 
-    in_budget = True
-    for direction in mandatory_normals:
-        in_budget = search.scan_normal(direction)
-        if not in_budget:
-            break
-    if in_budget:
+    try:
+        for direction in mandatory_normals:
+            search.scan_normal(direction)
         for axis in range(d):
-            in_budget = search.scan_axis_boxes(axis)
-            if not in_budget:
-                break
-    duds = 0
-    while in_budget and search.evaluations < budget and duds < 2000:
-        direction = search.random_normal()
-        if direction is None or direction in search.scanned:
-            duds += 1
-        else:
-            in_budget = search.scan_normal(direction)
-        if not in_budget or search.evaluations >= budget:
-            break
-        in_budget = search.random_box()
+            search.scan_axis_boxes(axis)
+        duds = 0
+        while duds < 2000:
+            direction = search.random_normal()
+            if direction is None or direction in search.scanned:
+                duds += 1
+            else:
+                search.scan_normal(direction)
+            search.random_box()
+    except _OutOfBudget:
+        pass
 
     for body in search.witnesses:
         if abs(volume.local_discrepancy(points, body)) != search.best:

@@ -353,15 +353,13 @@ class FractionSearch(discrepancy._Search):
         elif magnitude == self.best and magnitude > 0 and body not in self.witnesses:
             self.witnesses.append(body)
 
-    def spend(self) -> bool:
-        spent = super().spend()
-        if spent:
-            self.phases.append(self.phase)
-        return spent
+    def spend(self):
+        super().spend()
+        self.phases.append(self.phase)
 
     def scan_normal(self, direction):
         if direction in self.scanned:
-            return True
+            return
         self.scanned.add(direction)
         values = sorted(self.points.products(direction))
         unique = sorted(set(values))
@@ -370,25 +368,21 @@ class FractionSearch(discrepancy._Search):
         cube_hi = q * sum(max(a, 0) for a in direction)
         self.phase = "halfspace"
         for v in unique:
-            if not self.spend():
-                return False
+            self.spend()
             body = Halfspace(direction, Fraction(v, q), closed=True)
             self.record(body, Fraction(bisect_right(values, v), n) - body_volume(body))
-            if not self.spend():
-                return False
+            self.spend()
             body = Halfspace(direction, Fraction(v, q), closed=False)
             self.record(body, Fraction(bisect_left(values, v), n) - body_volume(body))
         self.phase = "slab"
         previous = cube_lo
         for v in unique + [cube_hi]:
             if v > previous:
-                if not self.spend():
-                    return False
+                self.spend()
                 body = Slab(direction, Fraction(previous, q), Fraction(v, q), open=True)
                 inside = bisect_left(values, v) - bisect_right(values, previous)
                 self.record(body, Fraction(inside, n) - body_volume(body))
             previous = max(previous, v)
-        return True
 
     def _interior_projection(self, axis):
         if axis not in self._projections:
@@ -411,21 +405,18 @@ class FractionSearch(discrepancy._Search):
         for v in pool + [q]:
             cut = Fraction(v, q)
             if v > 0:
-                if not self.spend():
-                    return False
+                self.spend()
                 hi = tuple(cut if k == axis else Fraction(1) for k in range(d))
                 body = AxisBox(zeros, hi, open=True)
                 inside = bisect_left(proj, v) - bisect_right(proj, 0)
                 self.record(body, Fraction(inside, self.n) - body_volume(body))
             if v < q:
-                if not self.spend():
-                    return False
+                self.spend()
                 lo = tuple(cut if k == axis else Fraction(0) for k in range(d))
                 body = AxisBox(lo, ones, open=True)
                 inside = bisect_left(proj, q) - bisect_right(proj, v)
                 self.record(body, Fraction(inside, self.n) - body_volume(body))
-        return True
 
     def random_box(self):
         self.phase = "random_box"
-        return super().random_box()
+        super().random_box()

@@ -359,13 +359,6 @@ class TestErrorPaths:
     def test_missing_file_exit_2(self, capsys, tmp_path):
         assert cli.main(["spectral", "--in", str(tmp_path / "absent.json")]) == 2
 
-    def test_non_integration_basis_exit_2(self, capsys, tmp_path):
-        path = tmp_path / "rel.json"
-        path.write_text(
-            '{"kind": "basis", "dim": 2, "basis": [["2", "0"], ["0", "1"]]}'
-        )
-        assert cli.main(["spectral", "--in", str(path)]) == 2
-
     @pytest.mark.parametrize("d", [2, 13])
     @pytest.mark.parametrize(
         "command", ["construct", "spectral", "points", "certify", "verify"]

@@ -141,7 +141,7 @@ class TestKorobovSearch:
 
     def test_result_lattice_round_trip(self):
         r = constructions.korobov_search(17, 2)
-        lat = r.lattice()
+        lat = lattice.from_rank1(r.n, r.generator)
         assert lat.rank1_data == (17, r.generator)
         assert reduction.spectral_test(lat).sigma_sq == r.sigma_sq
 

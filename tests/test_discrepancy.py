@@ -283,8 +283,9 @@ class TestIntegerSearchMatchesReference:
     """The integer scans against oracles.FractionSearch, which builds every
     candidate body and its Fraction discrepancy: the same incumbent, the
     same witnesses in the same order and the same evaluation count, for
-    budgets that run out inside the halfspace, slab and axis-box loops, and
-    the same sequence of changes to the incumbent and its ties on the way."""
+    budgets that run out inside the halfspace, slab and axis-box loops or
+    just as the slab, axis-box and random-box phases begin, and the same
+    sequence of changes to the incumbent and its ties on the way."""
 
     LATTICES = {
         "fibonacci55": lambda: lattice.from_rank1(55, (1, 34)),
@@ -346,6 +347,12 @@ class TestIntegerSearchMatchesReference:
             # evaluation budget - 1 was spent in the loop, and the loop
             # asked for one more
             assert phases[budget - 1] == phases[budget] == phase
+            budgets.append(budget)
+        for phase in ("slab", "axis_box", "random_box"):
+            # the previous loop spends the last unit, and the first spend
+            # of this phase stops the search
+            budget = phases.index(phase)
+            assert phases[budget - 1] != phase
             budgets.append(budget)
         for budget in budgets:
             ref = full if budget == self.FULL_BUDGET else self._search(
