@@ -287,15 +287,15 @@ def _cmd_spectral(args) -> int:
     return EXIT_OK
 
 
-def _point_strings(pts) -> list[list[str]]:
+def _point_strings(pts) -> list[tuple[str, ...]]:
     """Each node's coordinates as str(Fraction) would print them, rendered
     from the integer numerators with one gcd per distinct numerator."""
     q = pts.denominator
     text = {}
-    for x in {x for p in pts.numerators for x in p}:
+    for x in set().union(*pts.columns):
         g = math.gcd(x, q)
         text[x] = str(x // g) if g == q else f"{x // g}/{q // g}"
-    return [[text[x] for x in p] for p in pts.numerators]
+    return list(zip(*(map(text.__getitem__, column) for column in pts.columns)))
 
 
 def _cmd_points(args) -> int:

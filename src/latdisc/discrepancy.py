@@ -173,8 +173,13 @@ def hyperplane_count_certificate(
     `points` are the nodes of `lat` and `spectral` its spectral test; every
     node's plane value is checked to be an integer."""
     pts = _points_for(lat, points)
-    normal = spectral.shortest_dual_vector
-    counts = Counter(pts.plane_values(normal))
+    normal, q = spectral.shortest_dual_vector, pts.denominator
+    counts = Counter(pts.products(normal))  # by <normal, X> = q * plane value
+    if any(v % q for v in counts):
+        raise InvariantViolationError(
+            f"a node has non-integer product with dual vector {normal}"
+        )
+    counts = Counter({v // q: c for v, c in counts.items()})
     n = len(pts)
     if sum(counts.values()) != n:
         raise InvariantViolationError("plane counts do not add up to N")
@@ -264,14 +269,13 @@ class _Search:
     holds no node by construction.  A body and a Fraction are built only
     for a candidate that ties or beats the incumbent, and `record` sees
     exactly the bodies and values a body-by-body search would have
-    recorded.  `spend` raises _OutOfBudget at the first evaluation past the
-    budget.  The winning witnesses are still re-verified literally by the
-    estimator."""
+    recorded.  Per-node passes read the node set's numerator columns: one
+    products stream per direction, and one column per axis.  `spend` raises
+    _OutOfBudget at the first evaluation past the budget.  The winning
+    witnesses are still re-verified literally by the estimator."""
 
     def __init__(self, points: PointSet, budget: int, seed: int):
-        self.points = points
-        # per-node passes read the numerators X = q * x
-        self.nodes, self.q = points.numerators, points.denominator
+        self.points, self.q = points, points.denominator
         self.n = len(points)
         self.dim = points.dim
         self.budget = budget
@@ -357,23 +361,15 @@ class _Search:
 
     def _interior_projections(self) -> list[Counter]:
         """Per axis, a Counter of the numerators along it of the nodes
-        interior (0 < X_k < q) in every other coordinate; one pass over the
-        nodes."""
+        interior (0 < X_k < q) in every other coordinate: the whole column,
+        less the nodes on the cube's boundary in some other axis."""
         if self._axis_interior is None:
-            q = self.q
-            proj = [Counter() for _ in range(self.dim)]
-            interior = []
-            for x in self.nodes:
-                if 0 < min(x) and max(x) < q:
-                    interior.append(x)
-                    continue
-                outside = [k for k, xc in enumerate(x) if not 0 < xc < q]
-                if len(outside) == 1:
-                    k = outside[0]
-                    proj[k][x[k]] += 1
-            for column, counts in zip(zip(*interior), proj):
-                counts.update(column)
-            self._axis_interior = proj
+            q, columns = self.q, self.points.columns
+            edges = [{i for i, x in enumerate(col) if not 0 < x < q} for col in columns]
+            self._axis_interior = []
+            for k, col in enumerate(columns):
+                others = set().union(*edges[:k], *edges[k + 1 :])
+                self._axis_interior.append(Counter(col) - Counter(col[i] for i in others))
         return self._axis_interior
 
     def scan_axis_boxes(self, axis: int) -> None:
@@ -410,9 +406,7 @@ class _Search:
     def _pool(self, axis: int) -> list[int]:
         """The sorted numerators 0, q and every node's along `axis`."""
         if axis not in self._axis_pools:
-            values = {0, self.q}
-            values.update(x[axis] for x in self.nodes)
-            self._axis_pools[axis] = sorted(values)
+            self._axis_pools[axis] = sorted({0, self.q, *self.points.columns[axis]})
         return self._axis_pools[axis]
 
     def random_box(self) -> None:

@@ -24,9 +24,10 @@ from __future__ import annotations
 
 import json
 import math
+from array import array
 from fractions import Fraction
-from operator import mul
-from typing import Iterable, Sequence
+from itertools import chain, count, islice, repeat
+from typing import Iterable, Iterator, Sequence
 
 from . import linalg
 from .errors import (
@@ -38,6 +39,7 @@ from .errors import (
 from .linalg import RationalMatrix, Vector, as_vector
 
 DEFAULT_ENUM_CAP = 10**6
+_BLOCK = 1 << 15  # nodes per block of a products stream
 
 
 class IntegrationLattice:
@@ -108,71 +110,56 @@ class PointSet:
     """The nodes of a lattice in [0,1)^d, in deterministic enumeration order.
 
     Node x is stored as the integer vector X = q * x over one shared
-    denominator q (`numerators`, `denominator`), so per-node passes are
-    integer arithmetic.  Built from rational points, q is the least common
-    multiple of their denominators.  Iterating, `points`, len and == give
+    denominator q: `columns` holds one array('q') per coordinate, entry i of
+    column j being X_j of node i, so per-node passes are integer arithmetic
+    over flat machine-integer arrays.  Built from rational points, q is the
+    least common multiple of their denominators.  Iterating, len and == give
     the exact Fraction tuples, built on demand; no hot path uses that view.
     """
 
-    __slots__ = ("numerators", "denominator", "dim")
+    __slots__ = ("columns", "denominator", "dim")
 
     def __init__(self, points: Sequence[Vector], dim: int):
         rows = [as_vector(p) for p in points]
         q = math.lcm(*(x.denominator for p in rows for x in p))
-        self.numerators = tuple(tuple(int(x * q) for x in p) for p in rows)
+        self.columns = tuple(array("q", [int(p[j] * q) for p in rows]) for j in range(dim))
         self.denominator, self.dim = q, dim
-
-    @classmethod
-    def from_numerators(cls, numerators, denominator: int, dim: int) -> "PointSet":
-        """The point set with nodes X / denominator, X in `numerators`."""
-        pts = cls((), dim)
-        pts.numerators, pts.denominator = tuple(numerators), denominator
-        return pts
-
-    @property
-    def points(self) -> tuple[Vector, ...]:
-        return tuple(self)
-
-    @property
-    def n_points(self) -> int:
-        return len(self.numerators)
 
     def __iter__(self):
         q = self.denominator
-        return (tuple(Fraction(v, q) for v in x) for x in self.numerators)
+        return (tuple(Fraction(v, q) for v in x) for x in zip(*self.columns))
 
     def __len__(self):
-        return len(self.numerators)
+        return len(self.columns[0])
 
     def __eq__(self, other):
         return isinstance(other, PointSet) and set(self) == set(other)
 
     def __repr__(self):
-        return f"PointSet(n={len(self.numerators)}, dim={self.dim})"
+        return f"PointSet(n={len(self)}, dim={self.dim})"
 
-    def products(self, a) -> list:
-        """<a, X> for every numerator vector X, in node order."""
-        return [sum(map(mul, a, x)) for x in self.numerators]
+    def products(self, a) -> Iterator[int]:
+        """<a, X> for every numerator vector X, in node order, as a stream:
+        summed one column at a time, skipping zero coefficients, over blocks
+        of _BLOCK nodes, so no list of all N products is ever alive."""
+        (c0, col0), *terms = [(c, col) for c, col in zip(a, self.columns) if c]
 
-    def plane_values(self, normal) -> list[int]:
-        """The integers <normal, x>, one per node; InvariantViolationError
-        when a node is off the plane family (q does not divide <normal, X>)."""
-        q = self.denominator
-        values = self.products(normal)
-        if any(v % q for v in values):
-            raise InvariantViolationError(
-                f"a node has non-integer product with dual vector {normal}"
-            )
-        return [v // q for v in values]
+        def blocks():
+            for lo in range(0, len(self), _BLOCK):
+                acc = [c0 * x for x in col0[lo : lo + _BLOCK]]
+                for c, col in terms:
+                    acc = [s + c * x for s, x in zip(acc, col[lo : lo + _BLOCK])]
+                yield acc
+
+        return chain.from_iterable(blocks())
 
 
 def from_rank1(n: int, generator: Iterable[int]) -> IntegrationLattice:
     """The rank-1 lattice generated by Z^d together with generator/n.
 
-    Its nodes are the N = n fractional parts {(k/n) * generator}, k = 0..n-1,
-    when gcd considerations do not collapse them; in general the node count
-    is n / gcd-related factors, but the lattice itself is always well defined
-    and N = det of its dual.
+    Its nodes are the fractional parts {(k/n) * generator}, k = 0..n-1,
+    which repeat with period N = n / gcd(n, g_1, ..., g_d): that is the node
+    count, and the determinant of the dual.
     """
     if not isinstance(n, int) or n < 1:
         raise InputError("rank-1 modulus n must be a positive integer")
@@ -240,12 +227,14 @@ def enumerate_points(
 ) -> PointSet:
     """All lattice points in [0,1)^d, exactly, in deterministic order.
 
-    Walks the HNF basis, scaled by q to integer rows, level by level: since
-    the basis is upper triangular with positive diagonal, fixing coordinates
-    left to right turns the cube constraint 0 <= X < q into one integer
-    interval per level.  Raises CapExceededError, before the walk, when the
-    N nodes are more than `cap` (a desk-scale limit, not a failure of the
-    input).
+    Scales the HNF basis by q to integer rows: upper triangular, and each
+    pivot p_j divides q, since q e_j is in L.  Fixing coordinates left to
+    right turns 0 <= X < q into one run of q / p_j integers per level.  If
+    row 0 has pivot 1 and every later row is q e_j (a rank-1 rule with
+    g_0 = 1), node k is (k, k g_1 mod q, ...): the closed-form branch.
+    Otherwise the walk recurses down to the last level, whose runs fill the
+    last column.  Raises CapExceededError, before the walk, when the N nodes
+    are more than `cap` (a desk-scale limit, not a failure of the input).
     """
     if lattice.n_points > cap:
         raise CapExceededError(
@@ -253,7 +242,16 @@ def enumerate_points(
         )
     d = lattice.dim
     rows, q = lattice.basis.scaled_integer_rows()
-    nodes: list[tuple[int, ...]] = []
+    points = PointSet((), d)
+    points.denominator = q
+    if rows[0][0] == 1 and all(rows[i][i] == q for i in range(1, d)):
+        # then row i >= 1 is q e_i: q e_i is in L and HNF entries lie in [0, q)
+        points.columns = tuple(
+            array("q", map(q.__rmod__, islice(count(0, g), q))) for g in rows[0]
+        )
+        return points
+
+    leaves = []  # the combinations of rows 0..d-2 that fix X_1..X_(d-1)
 
     def walk(level: int, v: tuple[int, ...]):
         # v = the fixed levels' combination of rows; its level-th entry is
@@ -261,14 +259,21 @@ def enumerate_points(
         row = rows[level]
         pivot, base = row[level], v[level]
         cs = range(-(base // pivot), (q - 1 - base) // pivot + 1)
-        if level < d - 1:
-            for c in cs:
-                walk(level + 1, tuple(a + c * b for a, b in zip(v, row)))
-            return
-        nodes.extend(v[:-1] + (base + c * pivot,) for c in cs)
+        children = (tuple(a + c * b for a, b in zip(v, row)) for c in cs)
+        if level < d - 2:  # d >= 2: at d = 1 the HNF is [[1/N]], closed form
+            for child in children:
+                walk(level + 1, child)
+        else:
+            leaves.extend(children)
 
     walk(0, (0,) * d)
-    return PointSet.from_numerators(nodes, q, d)
+    p = rows[-1][-1]  # each leaf's last level is the run range(base % p, q, p)
+    *heads, bases = zip(*leaves)
+    runs = map(range, map(p.__rmod__, bases), repeat(q), repeat(p))
+    points.columns = tuple(
+        array("q", chain.from_iterable(map(repeat, h, repeat(q // p)))) for h in heads
+    ) + (array("q", chain.from_iterable(runs)),)
+    return points
 
 
 def to_json(lattice: IntegrationLattice) -> str:

@@ -32,7 +32,8 @@ membership tests honor them exactly.
 
 body_contains is the single-point reference; count_inside runs the same test
 over a node set's integer numerators X = q x, against integer thresholds
-derived once per body.
+derived once per body: a box narrows the node indices one coordinate column
+at a time, and a halfspace or slab counts a stream of the products <a, X>.
 """
 
 from __future__ import annotations
@@ -219,10 +220,10 @@ def count_inside(points: PointSet, body: ConvexBody) -> int:
     q, and each open or closed side is rounded to the integers it admits."""
     q = points.denominator
     if isinstance(body, AxisBox):
-        inside = points.numerators
-        for k, (lo, hi) in enumerate(zip(body.lo, body.hi)):
+        inside = range(len(points))
+        for column, lo, hi in zip(points.columns, body.lo, body.hi):
             a, b = _integer_range(lo * q, hi * q, body.open)
-            inside = [x for x in inside if a <= x[k] <= b]
+            inside = [i for i in inside if a <= column[i] <= b]
         return len(inside)
     if not isinstance(body, (Halfspace, Slab)):
         raise InputError(f"unknown body type {type(body).__name__}")

@@ -341,6 +341,7 @@ class FractionSearch(discrepancy._Search):
 
     def __init__(self, points, budget, seed):
         super().__init__(points, budget, seed)
+        self.nodes = list(zip(*points.columns))  # numerator vectors, node order
         self.phase = None
         self.phases: list[str] = []
         self._projections: dict[int, list[int]] = {}

@@ -5,16 +5,21 @@ pass compares integers against thresholds scaled once per body.  These
 properties pin that to the rational reference on the cases that matter:
 rank-1 rules with gcd > 1 and g[0] != 1, re-presented bases, lattices
 given by an arbitrary integer dual basis, and bodies whose offsets and
-corners sit exactly on node values, open and closed.
+corners sit exactly on node values, open and closed.  Both branches of the
+node walk, the closed-form rank-1 columns and the general HNF walk, must
+give the Fraction walk's nodes in its order.
 """
 
+from array import array
 from fractions import Fraction
+from math import gcd
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from latdisc import lattice, linalg, volume
+from latdisc import constructions, lattice, linalg, volume
 from latdisc.volume import AxisBox, Halfspace, Slab
 
 F = Fraction
@@ -48,6 +53,28 @@ def _fraction_walk(lat):
 
     recurse(0)
     return points
+
+
+def _assert_matches_fraction_walk(pts, lat):
+    """pts holds the nodes of lat in the reference order, as one array('q')
+    per coordinate with every numerator in [0, q); returns the reference."""
+    reference = _fraction_walk(lat)
+    assert list(pts) == reference
+    assert len(pts) == len(reference) == lat.n_points
+    q = pts.denominator
+    assert len(pts.columns) == lat.dim
+    for column in pts.columns:
+        assert isinstance(column, array) and column.typecode == "q"
+        assert all(0 <= x < q for x in column)
+    return reference
+
+
+def _closed_form_shape(lat):
+    """Whether the scaled HNF is [[1, g_1, ...], q e_1, ..., q e_(d-1)]."""
+    rows, q = lat.basis.scaled_integer_rows()
+    return rows[0][0] == 1 and all(
+        row == [q * (j == i) for j in range(lat.dim)] for i, row in enumerate(rows) if i
+    )
 
 
 @st.composite
@@ -133,13 +160,8 @@ class TestIntegerNodes:
     @settings(max_examples=150, deadline=None)
     def test_enumeration_matches_fraction_walk(self, lat):
         pts = lattice.enumerate_points(lat, cap=CAP)
-        reference = _fraction_walk(lat)
-        assert list(pts) == reference
-        assert len(reference) == lat.n_points
-        assert pts.points == tuple(reference)
+        reference = _assert_matches_fraction_walk(pts, lat)
         assert pts == lattice.PointSet(reference, lat.dim)
-        q = pts.denominator
-        assert all(0 <= v < q for x in pts.numerators for v in x)
 
     @given(lattices_with_bodies())
     @settings(max_examples=300, deadline=None)
@@ -152,3 +174,42 @@ class TestIntegerNodes:
         for node_set in (pts, lattice.PointSet(list(pts), lat.dim)):
             assert volume.count_inside(node_set, body) == literal
             assert volume.local_discrepancy(node_set, body) == expected
+
+
+class TestRank1:
+    @given(rank1_rules())
+    @settings(max_examples=150, deadline=None)
+    def test_node_count_formula(self, lat):
+        n, g = lat.rank1_data
+        assert lat.n_points == n // gcd(n, *g)
+
+
+class TestWalkBranches:
+    @pytest.mark.parametrize(
+        "lat",
+        [
+            constructions.fibonacci_lattice(10),
+            constructions.korobov_lattice(61, 17, 3),
+            lattice.from_rank1(12, (1, 24, 5)),
+            lattice.from_rank1(7, (3,)),
+        ],
+        ids=["fibonacci", "korobov", "zero-column", "d=1"],
+    )
+    def test_closed_form(self, lat):
+        assert _closed_form_shape(lat)
+        _assert_matches_fraction_walk(lattice.enumerate_points(lat), lat)
+
+    @pytest.mark.parametrize(
+        "lat",
+        [
+            lattice.from_rank1(12, (2, 3)),
+            lattice.from_rank1(30, (6, 10, 15)),
+            constructions.bad_lattice(5, 3),
+            constructions.bad_lattice(4),
+            constructions.scaled_integer_lattice(4, 3),
+        ],
+        ids=["g0-12-2", "g0-30-6", "bad-3d", "bad-2d", "grid-3d"],
+    )
+    def test_general_walk(self, lat):
+        assert not _closed_form_shape(lat)
+        _assert_matches_fraction_walk(lattice.enumerate_points(lat), lat)

@@ -115,13 +115,13 @@ class TestEnumeratePoints:
     def test_matches_closed_form(self):
         lat = lattice.from_rank1(5, (1, 3))
         pts = lattice.enumerate_points(lat)
-        assert pts.n_points == 5
+        assert len(pts) == 5
         assert set(pts) == _rank1_nodes(5, (1, 3))
 
     def test_deterministic_order(self):
         lat = lattice.from_rank1(8, (1, 5))
-        assert lattice.enumerate_points(lat).points == (
-            lattice.enumerate_points(lat).points
+        assert tuple(lattice.enumerate_points(lat)) == tuple(
+            lattice.enumerate_points(lat)
         )
 
     def test_cap_from_known_count(self):
@@ -139,7 +139,7 @@ class TestEnumeratePoints:
         pts = lattice.enumerate_points(lat)
         expected = _rank1_nodes(n, g)
         assert set(pts) == expected
-        assert pts.n_points == len(expected) == lat.n_points
+        assert len(pts) == len(expected) == lat.n_points
 
 
 class TestJSON:

@@ -225,8 +225,10 @@ class TestContainsAndDiscrepancy:
         assert volume.local_discrepancy(pts, cube) == 0
 
     def test_empty_point_set_rejected(self):
+        empty = PointSet([], 2)
+        assert len(empty) == 0 and list(empty) == []
         with pytest.raises(InputError):
-            volume.local_discrepancy(PointSet([], 2), Halfspace((1, 0), 1))
+            volume.local_discrepancy(empty, Halfspace((1, 0), 1))
 
     @given(
         st.integers(2, 30),
