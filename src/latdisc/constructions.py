@@ -106,10 +106,16 @@ def _is_prime(n: int) -> bool:
 
 def _dual_rows_unit_leading(n: int, g) -> list[list[int]]:
     # basis of { h in Z^d : <h, g> == 0 mod n }, valid because g[0] == 1
-    # pins h[0] modulo n once the other coordinates are chosen
+    # pins h[0] modulo n once the other coordinates are chosen; the first
+    # two rows, the dual of (1, g[1]) padded with zeros, come Gauss-reduced
     d = len(g)
-    rows = [[n] + [0] * (d - 1)]
-    for i in range(1, d):
+    if d == 1:
+        return [[n]]
+    rows = [
+        row + [0] * (d - 2)
+        for row in kernels.gauss_reduce_2d([[n, 0], [-g[1], 1]])
+    ]
+    for i in range(2, d):
         row = [0] * d
         row[0] = -g[i]
         row[i] = 1
@@ -132,19 +138,17 @@ def _dual_bases(n: int, d: int, mode: str):
     # In exhaustive mode the generators sharing a prefix P share its dual
     # basis: dual(P, a) is spanned by the rows of dual(P), each with a 0
     # appended, and (-a, 0, ..., 0, 1), since subtracting h[-1] times that
-    # row from any h in dual(P, a) leaves a vector of dual(P) x {0}.  A 2-d
-    # prefix basis is Gauss-reduced once for its n - 1 generators, so their
-    # LLL starts from a reduced block, and once the prefix's shortest vector
-    # is no longer than the incumbent it rejects the whole block at entry.
+    # row from any h in dual(P, a) leaves a vector of dual(P) x {0}.  Every
+    # basis starts with the Gauss-reduced block of _dual_rows_unit_leading;
+    # at d = 3 it is the whole prefix basis, reduced once for its n - 1
+    # generators, and once the prefix's shortest vector is no longer than
+    # the incumbent it rejects the whole block at entry.
     if mode == "korobov":
         for g in _generators(n, d, mode):
             yield g, _dual_rows_unit_leading(n, g)
         return
     for prefix in _generators(n, d - 1, mode):
-        head = _dual_rows_unit_leading(n, prefix)
-        if len(head) == 2:
-            head = kernels.gauss_reduce_2d(head)
-        head = [row + [0] for row in head]
+        head = [row + [0] for row in _dual_rows_unit_leading(n, prefix)]
         for a in range(1, n):
             yield [*prefix, a], head + [[-a] + [0] * (d - 2) + [1]]
 
@@ -203,11 +207,14 @@ def korobov_search(
     dual vector no longer than that (branch and bound, as in L'Ecuyer and
     Couture's spectral-test search).  The abort reaches into LLL, which
     gives up at entry or after a swap that brings such a vector to the
-    front.  In exhaustive mode with d = 3 every dual basis starts from the
-    Gauss-reduced dual basis of its prefix (1, a_2), shared by the n - 1
-    generators of that prefix (component by component, as in Sloan and
-    Reztsov), so a prefix whose shortest dual vector is already no longer
-    than the incumbent costs each of its generators only the entry check.
+    front.  Except in exhaustive mode at d = 2, every dual basis starts
+    from the Gauss-reduced dual basis of the generator's first two
+    coordinates (1, c), so LLL does not redo Euclid's algorithm on (n, c)
+    through d x d swaps.  In exhaustive mode with d = 3 that block is the
+    whole basis of the prefix (1, a_2), shared by its n - 1 generators
+    (component by component, as in Sloan and Reztsov), so a prefix whose
+    shortest dual vector is already no longer than the incumbent costs
+    each of its generators only the entry check.
     At every d, 2 included, each generator makes exactly one LLL call, and
     re-verifying the winner makes one more.
     """

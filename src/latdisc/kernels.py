@@ -4,8 +4,8 @@ These are the inner loops of the whole package: LLL reduction, the
 integral Gram-Schmidt data both LLL and the enumeration work on, and the
 exact shortest-vector enumeration; every shortest-vector computation, at
 every rank, is lll_reduce followed by shortest_vectors.  The 2d Gauss
-reduction serves one caller: the shared prefix basis of the exhaustive
-d = 3 generator search.  Everything works on plain Python ints (arbitrary
+reduction gives the generator search's dual bases a reduced leading
+block before LLL.  Everything works on plain Python ints (arbitrary
 precision, no overflow by construction) and is deterministic.
 
 All functions take and return lists of ints.  None of them knows about
@@ -13,13 +13,11 @@ Fractions or lattices; callers scale rational bases to integers first.
 """
 
 from math import isqrt, lcm
+from operator import mul
 
 
 def _dot(u, v):
-    s = 0
-    for a, b in zip(u, v):
-        s += a * b
-    return s
+    return sum(map(mul, u, v))
 
 
 def _round_div(a, b):
@@ -30,8 +28,9 @@ def _round_div(a, b):
 def gauss_reduce_2d(rows):
     """Lagrange-Gauss reduce a rank-2 integer basis.
 
-    Used only to reduce the 2d prefix dual basis that an exhaustive d = 3
-    generator search shares across n - 1 generators.
+    The generator search reduces with it the dual of (1, g[1]) that leads
+    its dual bases: once per Korobov generator, and once per exhaustive
+    prefix at d >= 3.
 
     Returns [u, v] spanning the same lattice with ||u|| <= ||v|| and
     |2 <u, v>| <= ||u||^2, so u attains the lattice minimum.  Raises
@@ -63,11 +62,7 @@ def canonical_sign(vec):
     return tuple(vec) if next(x for x in vec if x) > 0 else tuple(-x for x in vec)
 
 
-def _exact_div(a, b):
-    q, r = divmod(a, b)
-    if r:
-        raise ArithmeticError("inexact division in all-integer LLL (bug)")
-    return q
+_INEXACT = "inexact division in all-integer LLL (bug)"
 
 
 def integral_gso(rows):
@@ -85,7 +80,9 @@ def integral_gso(rows):
         for j in range(i + 1):
             u = _dot(rows[i], rows[j])
             for k in range(j):
-                u = _exact_div(d[k + 1] * u - lam[i][k] * lam[j][k], d[k])
+                u, r = divmod(d[k + 1] * u - lam[i][k] * lam[j][k], d[k])
+                if r:
+                    raise ArithmeticError(_INEXACT)
             if j < i:
                 lam[i][j] = u
             elif u <= 0:
@@ -117,43 +114,50 @@ def lll_reduce(rows, beat=None):
     if n == 1:
         return b
     d, lam = integral_gso(b)
-
-    def reduce_row(k, l):
-        # size reduction: make |mu_{k,l}| <= 1/2, i.e. 2|lambda| <= d[l+1]
-        if 2 * abs(lam[k][l]) > d[l + 1]:
-            q = _round_div(lam[k][l], d[l + 1])
-            b[k] = [x - q * y for x, y in zip(b[k], b[l])]
-            lam[k][l] -= q * d[l + 1]
-            for i in range(l):
-                lam[k][i] -= q * lam[l][i]
-
-    def swap_rows(k):
-        b[k], b[k - 1] = b[k - 1], b[k]
-        for j in range(k - 1):
-            lam[k][j], lam[k - 1][j] = lam[k - 1][j], lam[k][j]
-        lam_k = lam[k][k - 1]
-        new_dk = _exact_div(d[k - 1] * d[k + 1] + lam_k * lam_k, d[k])
-        for i in range(k + 1, n):
-            old_hi = lam[i][k - 1]
-            old_lo = lam[i][k]
-            lam[i][k] = _exact_div(d[k + 1] * old_hi - lam_k * old_lo, d[k])
-            lam[i][k - 1] = _exact_div(lam_k * old_hi + d[k - 1] * old_lo, d[k])
-        d[k] = new_dk
-
     k = 1
     while k < n:
-        reduce_row(k, k - 1)
-        lam_k = lam[k][k - 1]
-        # Lovasz test at delta = 3/4, in integers
-        if 4 * (d[k - 1] * d[k + 1] + lam_k * lam_k) < 3 * d[k] * d[k]:
-            swap_rows(k)
-            if k == 1 and beat is not None and d[1] <= beat:
-                return None
-            k = max(1, k - 1)
+        row = b[k]
+        lam_k = lam[k]
+        # size-reduce row k against rows k-1, ..., 0 (|mu_{k,l}| <= 1/2,
+        # i.e. 2|lambda| <= d[l+1]); after l = k-1, the Lovasz test at
+        # delta = 3/4, in integers, may cut the loop short for a swap
+        for l in range(k - 1, -1, -1):
+            dl = d[l + 1]
+            x = lam_k[l]
+            if 2 * abs(x) > dl:
+                q = _round_div(x, dl)
+                row = [s - q * t for s, t in zip(row, b[l])]
+                lam_k[l] = x = x - q * dl
+                lam_l = lam[l]
+                for i in range(l):
+                    lam_k[i] -= q * lam_l[i]
+            if l == k - 1 and 4 * (d[l] * d[k + 1] + x * x) < 3 * dl * dl:
+                break
         else:
-            for l in range(k - 2, -1, -1):
-                reduce_row(k, l)
+            b[k] = row
             k += 1
+            continue
+        # swap rows l = k-1 and k; x = lambda[k][k-1] stays as it is
+        b[k] = b[l]
+        b[l] = row
+        lam_k[:l], lam[l][:l] = lam[l][:l], lam_k[:l]
+        d_lo, d_hi = d[l], d[k + 1]
+        new_dk, r = divmod(d_lo * d_hi + x * x, dl)
+        if r:
+            raise ArithmeticError(_INEXACT)
+        for i in range(k + 1, n):
+            lam_i = lam[i]
+            old_hi = lam_i[l]
+            old_lo = lam_i[k]
+            lam_i[k], r = divmod(d_hi * old_hi - x * old_lo, dl)
+            lam_i[l], r2 = divmod(x * old_hi + d_lo * old_lo, dl)
+            if r or r2:
+                raise ArithmeticError(_INEXACT)
+        d[k] = new_dk
+        if k > 1:
+            k -= 1
+        elif beat is not None and new_dk <= beat:
+            return None
     return b
 
 

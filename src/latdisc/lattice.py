@@ -90,9 +90,8 @@ class PointSet:
     Node x is stored as the integer vector X = q * x over one shared
     denominator q: `columns` holds one array('q') per coordinate, entry i of
     column j being X_j of node i, so per-node passes are integer arithmetic
-    over flat machine-integer arrays, and dim = len(columns).  Iterating,
-    len and == give the exact Fraction tuples, built on demand; no hot path
-    uses that view.
+    over flat machine-integer arrays, and dim = len(columns).  len is the
+    node count; node x_i is Fraction(columns[j][i], q) in coordinate j.
     """
 
     __slots__ = ("columns", "denominator", "dim")
@@ -101,15 +100,8 @@ class PointSet:
         self.columns = tuple(columns)
         self.denominator, self.dim = denominator, len(self.columns)
 
-    def __iter__(self):
-        q = self.denominator
-        return (tuple(Fraction(v, q) for v in x) for x in zip(*self.columns))
-
     def __len__(self):
         return len(self.columns[0])
-
-    def __eq__(self, other):
-        return isinstance(other, PointSet) and set(self) == set(other)
 
     def __repr__(self):
         return f"PointSet(n={len(self)}, dim={self.dim})"

@@ -11,10 +11,13 @@
   discrepancy._Search.
 - LLL reduction: lll_certificate re-derives the Gram-Schmidt data of the
   integer kernel's output in Fractions and checks every reducedness claim;
-  lattice_contains tests lattice membership through the inverse basis.
+  lll_reduce_reference is the structured form of the kernel's flat loop,
+  which must return the same rows; lattice_contains tests lattice
+  membership through the inverse basis.
 - Small exact helpers no command needs: identity and matmul for
-  RationalMatrix, gamma_bounds, the enclosure of a GammaValue, and
-  point_set, a PointSet built from arbitrary rational points.
+  RationalMatrix, gamma_bounds, the enclosure of a GammaValue, point_set,
+  a PointSet built from arbitrary rational points, and nodes, the Fraction
+  tuples of a PointSet.
 
 Only the tests use them, so they live with the tests rather than in the
 package.
@@ -43,7 +46,7 @@ from math import ceil, factorial, gcd, isqrt, lcm
 
 from latdisc import directed, discrepancy, lattice, linalg, volume
 from latdisc.errors import InputError
-from latdisc.kernels import lll_reduce
+from latdisc.kernels import integral_gso, lll_reduce
 from latdisc.linalg import as_fraction, as_vector
 from latdisc.volume import AxisBox, Halfspace, Slab
 
@@ -225,6 +228,12 @@ def matmul(a: linalg.RationalMatrix, b: linalg.RationalMatrix) -> linalg.Rationa
     return linalg.RationalMatrix([[linalg.dot(row, col) for col in cols] for row in a.rows])
 
 
+def nodes(pts: lattice.PointSet) -> list[tuple[Fraction, ...]]:
+    """The nodes of a PointSet as exact Fraction tuples, in node order."""
+    q = pts.denominator
+    return [tuple(Fraction(v, q) for v in x) for x in zip(*pts.columns)]
+
+
 def point_set(points, dim: int) -> lattice.PointSet:
     """The PointSet of arbitrary rational points in dimension dim, over the
     least common multiple of their denominators (1 for no points)."""
@@ -276,6 +285,78 @@ def lll_certificate(rows, reduced) -> dict[str, bool]:
         "chain": top * star[n - 1] >= max_star and top * max_star >= max(norms),
         "same_lattice": linalg.hnf(basis) == linalg.hnf(linalg.RationalMatrix(rows)),
     }
+
+
+def _dot(u, v):
+    s = 0
+    for a, b in zip(u, v):
+        s += a * b
+    return s
+
+
+def _round_div(a, b):
+    # nearest integer to a/b for b > 0, ties rounded toward +infinity
+    return (2 * a + b) // (2 * b)
+
+
+def _exact_div(a, b):
+    q, r = divmod(a, b)
+    if r:
+        raise ArithmeticError("inexact division in all-integer LLL (bug)")
+    return q
+
+
+def lll_reduce_reference(rows, beat=None):
+    """The structured all-integer LLL that kernels.lll_reduce flattens:
+    size reduction and the swap as closures over the integral Gram-Schmidt
+    data, every division through _exact_div.  The kernel must return the
+    same rows, and None on the same inputs.
+    """
+    if beat is not None and min(_dot(row, row) for row in rows) <= beat:
+        return None
+    b = [list(row) for row in rows]
+    n = len(b)
+    if n == 1:
+        return b
+    d, lam = integral_gso(b)
+
+    def reduce_row(k, l):
+        # size reduction: make |mu_{k,l}| <= 1/2, i.e. 2|lambda| <= d[l+1]
+        if 2 * abs(lam[k][l]) > d[l + 1]:
+            q = _round_div(lam[k][l], d[l + 1])
+            b[k] = [x - q * y for x, y in zip(b[k], b[l])]
+            lam[k][l] -= q * d[l + 1]
+            for i in range(l):
+                lam[k][i] -= q * lam[l][i]
+
+    def swap_rows(k):
+        b[k], b[k - 1] = b[k - 1], b[k]
+        for j in range(k - 1):
+            lam[k][j], lam[k - 1][j] = lam[k - 1][j], lam[k][j]
+        lam_k = lam[k][k - 1]
+        new_dk = _exact_div(d[k - 1] * d[k + 1] + lam_k * lam_k, d[k])
+        for i in range(k + 1, n):
+            old_hi = lam[i][k - 1]
+            old_lo = lam[i][k]
+            lam[i][k] = _exact_div(d[k + 1] * old_hi - lam_k * old_lo, d[k])
+            lam[i][k - 1] = _exact_div(lam_k * old_hi + d[k - 1] * old_lo, d[k])
+        d[k] = new_dk
+
+    k = 1
+    while k < n:
+        reduce_row(k, k - 1)
+        lam_k = lam[k][k - 1]
+        # Lovasz test at delta = 3/4, in integers
+        if 4 * (d[k - 1] * d[k + 1] + lam_k * lam_k) < 3 * d[k] * d[k]:
+            swap_rows(k)
+            if k == 1 and beat is not None and d[1] <= beat:
+                return None
+            k = max(1, k - 1)
+        else:
+            for l in range(k - 2, -1, -1):
+                reduce_row(k, l)
+            k += 1
+    return b
 
 
 def halfspace_cube_volume(normal, offset) -> Fraction:

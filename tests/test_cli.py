@@ -185,6 +185,31 @@ class TestLowRankShortestVector:
         assert hashlib.sha256(out.encode()).hexdigest() == self.DIGESTS[args]
 
 
+class TestGeneratorSearchOutput:
+    """Searches at d >= 3 in both modes, pinned to the SHA-256 of the output
+    printed while LLL ran as structured closures and only the exhaustive
+    d = 3 search started from a Gauss-reduced 2d block."""
+
+    DIGESTS = {
+        "search --n 61 --d 3 --mode exhaustive":
+            "252a883ecb56660d3bcfb9bdca0af06005d9917e3bbe62aeffa02796711037ff",
+        "search --n 1009 --d 4":
+            "3e694629fc0456bdf6c28af78b3a3c9ac3d78d9f77a60b3d4fbb744f40e3c5c8",
+        "search --n 503 --d 6 --format csv":
+            "dd56cc3b1eb792e4c87ff055b65cebaf15751c6888d82e170b319d3870d51199",
+        "search --n 31 --d 4 --mode exhaustive":
+            "6be5b98f667d0efe2fe435ab5a3df56ec33087d7c1e847154292f6b8bcb10e40",
+        "search --n 13 --d 5 --mode exhaustive":
+            "940283b1be9e147ad70b3921beb2139683265e65829c5738acf6aefba91e963d",
+    }
+
+    @pytest.mark.parametrize("args", sorted(DIGESTS))
+    def test_output_unchanged(self, capsys, args):
+        code, out = run_cli(capsys, *args.split())
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == self.DIGESTS[args]
+
+
 class TestCertifyVerifyOutput:
     """The certify and verify envelopes, pinned to the SHA-256 of the output
     printed while the estimator still had a certificate-less mode and the

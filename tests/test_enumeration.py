@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from latdisc import constructions, kernels, linalg, reduction
 from latdisc.errors import InvariantViolationError
 from latdisc.linalg import RationalMatrix, dot
@@ -105,11 +106,11 @@ def _enumerate_min_vectors(rows: list[list[int]]) -> tuple[int, list[tuple[int, 
 # ---------------------------------------------------------------------------
 
 @st.composite
-def random_bases(draw, dims=(3, 6)):
+def random_bases(draw, dims=(3, 6), bound=40):
     d = draw(st.integers(*dims))
     rows = draw(
         st.lists(
-            st.lists(st.integers(-40, 40), min_size=d, max_size=d),
+            st.lists(st.integers(-bound, bound), min_size=d, max_size=d),
             min_size=d,
             max_size=d,
         ).filter(lambda rows: linalg.det(RationalMatrix(rows)) != 0)
@@ -126,6 +127,31 @@ def rank1_dual_bases(draw, dims=(3, 6)):
 
 
 any_basis = st.one_of(random_bases(), rank1_dual_bases())
+
+
+def _raw_dual_rows(n, g):
+    # the unreduced unit-leading dual basis: (n, 0, ..., 0) and, for each
+    # i >= 1, -g[i] in column 0 with 1 in column i
+    d = len(g)
+    rows = [[n] + [0] * (d - 1)]
+    for i in range(1, d):
+        rows.append([-g[i] if j == 0 else int(j == i) for j in range(d)])
+    return rows
+
+
+def _anchored_beat(rows, full, anchor):
+    """The `beat` value named by anchor: the shortest input row, the first
+    row of the unaborted LLL output `full`, the lattice minimum, or 0."""
+    if anchor == "zero":
+        return 0
+    if anchor == "entry":
+        return min(dot(row, row) for row in rows)
+    if anchor == "first":
+        return dot(full[0], full[0])
+    return kernels.shortest_vectors(full)[0]
+
+
+beat_anchors = st.sampled_from(["entry", "first", "minimum", "zero"])
 
 
 class TestIntegralGSO:
@@ -180,19 +206,14 @@ class TestLLLBeat:
     row, it shrinks d[1] = ||b_0||^2, and the last such swap leaves the
     final first row, so checking after each of them is checking the end."""
 
-    @given(
-        any_basis,
-        st.sampled_from(["entry", "first", "minimum", "zero"]),
-        st.integers(-2, 2),
-    )
+    @given(any_basis, beat_anchors, st.integers(-2, 2))
     @settings(max_examples=300, deadline=None)
     def test_abort_contract(self, rows, anchor, offset):
         full = kernels.lll_reduce(rows)
         least = kernels.shortest_vectors(full)[0]
         entry = min(dot(row, row) for row in rows)
         first = dot(full[0], full[0])
-        beat = {"entry": entry, "first": first, "minimum": least, "zero": 0}[anchor]
-        beat += offset
+        beat = _anchored_beat(rows, full, anchor) + offset
         aborted = kernels.lll_reduce(rows, beat=beat)
         if aborted is None:
             assert least <= beat
@@ -208,6 +229,30 @@ class TestLLLBeat:
         assert kernels.lll_reduce(rows) == full
         assert kernels.lll_reduce(rows, beat=0) == full
         assert kernels.lll_reduce(rows, beat=1) is None
+
+
+class TestLLLReference:
+    """kernels.lll_reduce, one flat loop, against the structured
+    oracles.lll_reduce_reference: the same rows at every rank, and None on
+    exactly the same (rows, beat) pairs."""
+
+    @given(
+        st.one_of(
+            random_bases(dims=(1, 7)),
+            rank1_dual_bases(dims=(1, 7)),
+            random_bases(dims=(1, 7), bound=10**25),
+        ),
+        beat_anchors,
+        st.integers(-2, 2),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_equals_reference(self, rows, anchor, offset):
+        full = oracles.lll_reduce_reference(rows)
+        assert kernels.lll_reduce(rows) == full
+        beat = _anchored_beat(rows, full, anchor) + offset
+        assert kernels.lll_reduce(rows, beat=beat) == oracles.lll_reduce_reference(
+            rows, beat=beat
+        )
 
 
 class TestGeneratorSearch:
@@ -246,15 +291,23 @@ class TestGeneratorSearch:
         assert (r.generator, r.norm_sq, r.n_searched) == (best[1], -best[0], searched)
 
     @pytest.mark.parametrize("mode", ["korobov", "exhaustive"])
-    @pytest.mark.parametrize("n,d", [(5, 2), (7, 2), (5, 3), (13, 3), (5, 4), (7, 4), (5, 5)])
+    @pytest.mark.parametrize(
+        "n,d", [(5, 2), (7, 2), (5, 3), (13, 3), (5, 4), (7, 4), (5, 5), (3, 6), (5, 6)]
+    )
     def test_dual_bases_span_the_dual(self, n, d, mode):
-        # the warm-started bases come in _generators order and each spans
-        # the same lattice as the generator's own unit-leading dual basis
+        # the bases come in _generators order, each spans the same lattice
+        # as the generator's raw unit-leading dual basis, and each starts
+        # with a Gauss-reduced 2d block; exhaustive d = 2 has no such block,
+        # its prefix (1) having the 1-row dual (n)
         pairs = list(constructions._dual_bases(n, d, mode))
         assert [g for g, _ in pairs] == list(constructions._generators(n, d, mode))
         for g, rows in pairs:
-            own = constructions._dual_rows_unit_leading(n, g)
-            assert linalg.hnf(RationalMatrix(rows)) == linalg.hnf(RationalMatrix(own))
+            raw = _raw_dual_rows(n, g)
+            assert linalg.hnf(RationalMatrix(rows)) == linalg.hnf(RationalMatrix(raw))
+            if mode == "korobov" or d >= 3:
+                u, v = rows[0], rows[1]
+                assert dot(u, u) <= dot(v, v)
+                assert abs(2 * dot(u, v)) <= dot(u, u)
 
     @pytest.mark.parametrize(
         "mode,n,d",

@@ -3,6 +3,7 @@ boxes of high dimension.
 """
 
 import random
+from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings
@@ -82,6 +83,25 @@ class TestLLL:
         rows = [[rng.randint(-(10**25), 10**25) for _ in range(4)] for _ in range(4)]
         cert = oracles.lll_certificate(rows, kernels.lll_reduce([r[:] for r in rows]))
         assert all(cert.values()), cert
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            [[1, 0], [0, F(1, 2)]],
+            [[4, 0], [-6, F(5, 2)]],
+            [[-2, -4, 3], [-1, -2, -4], [4, -6, F(3, 2)]],
+            [[4, -1, -2], [2, -2, -2], [-4, F(-5, 2), -6]],
+        ],
+        ids=["gso", "swap-d", "swap-lambda-k", "swap-lambda-k-1"],
+    )
+    def test_inexact_division_raises(self, rows):
+        # rows outside Z^d make the all-integer divisions inexact: in the
+        # Gram-Schmidt set-up, in the swap's new d[k], and in each of the two
+        # lambda updates below the swapped pair.  Each input reaches one of
+        # them first, and its remainder check must raise rather than let a
+        # truncated quotient through
+        with pytest.raises(ArithmeticError, match="inexact division"):
+            kernels.lll_reduce(rows)
 
     def test_input_not_mutated(self):
         rows = [[3, 5], [4, 9]]

@@ -155,7 +155,7 @@ class TestSpectralTest:
         lat = lattice.from_rank1(13, (1, 5))
         res = reduction.spectral_test(lat)
         # <h, x> integral for every node
-        for p in lattice.enumerate_points(lat):
+        for p in oracles.nodes(lattice.enumerate_points(lat)):
             v = sum(h * x for h, x in zip(res.shortest_dual_vector, p))
             assert F(v).denominator == 1
 
