@@ -68,15 +68,13 @@ from .constructions import (
 )
 from .bounds import (
     BoundsReport,
-    DimensionConstants,
     GammaValue,
-    constants_for,
     gamma_half_integer,
     minkowski_sigma_check,
     verify_lattice,
     write_reports_csv,
 )
-from .directed import Bounds, bounds_decimal, decimal_str, e_bounds, pi_bounds, sqrt_bounds
+from .directed import Bounds, decimal_str, pi_bounds, sqrt_bounds
 
 __version__ = "0.1.0"
 
@@ -135,11 +133,9 @@ __all__ = [
     "korobov_lattice",
     "korobov_search",
     "GeneratorSearchResult",
-    # bounds and constants
+    # bounds and verification
     "GammaValue",
     "gamma_half_integer",
-    "DimensionConstants",
-    "constants_for",
     "minkowski_sigma_check",
     "BoundsReport",
     "verify_lattice",
@@ -148,7 +144,5 @@ __all__ = [
     "Bounds",
     "sqrt_bounds",
     "pi_bounds",
-    "e_bounds",
     "decimal_str",
-    "bounds_decimal",
 ]

@@ -1,4 +1,4 @@
-"""Dimension constants, certified inequalities, and verification reports.
+"""Certified inequalities and the per-lattice verification report.
 
 The quantities tying the spectral test sigma(L) to the isotropic
 discrepancy J_N of the node set are
@@ -9,11 +9,13 @@ discrepancy J_N of the node set are
     J_N  >= c_d N^{-1/d}                    (combining the first and third),
 
 with mink_d = (sqrt(pi)/2) Gamma(d/2+1)^{-1/d} and c_d = mink_d / sqrt(d).
-Everything here is certified: the constants are two-sided rational
+verify_lattice certifies each of them for one lattice: the Minkowski floor
+through minkowski_sigma_check, c_d N^{-1/d} through two-sided rational
 enclosures built from directed arithmetic (Gamma at half-integers is an
-exact rational times sqrt(pi), so enclosures tighten on demand), and every
-inequality is either decided in exact rational arithmetic (all squared or
-d = 1 cases) or by refining enclosures until they separate.
+exact rational times sqrt(pi), so enclosures tighten on demand), and
+d^2 2^d sigma through discrepancy.sigma_upper_bound.  Every inequality is
+either decided in exact rational arithmetic (all squared or d = 1 cases)
+or by refining enclosures until they separate.
 
 A dimension-free constant c > 0 with J_N >= c N^{-1/d} for every d is known
 to exist, but no explicit value is available; only the dimension-dependent
@@ -25,11 +27,11 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, isqrt
+from math import factorial
 
 from . import directed, discrepancy, lattice as lattice_mod, reduction
 from .directed import Bounds
-from .errors import InputError, InvariantViolationError
+from .errors import InputError
 from .lattice import IntegrationLattice
 
 DIMENSION_FREE_NOTE = (
@@ -40,7 +42,7 @@ DIMENSION_FREE_NOTE = (
 
 
 # ---------------------------------------------------------------------------
-# Gamma at half-integer arguments
+# Gamma at half-integer arguments and the Minkowski floor
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -65,49 +67,6 @@ def gamma_half_integer(two_z: int) -> GammaValue:
     return GammaValue(Fraction(factorial(2 * n), 4**n * factorial(n)), True)
 
 
-# ---------------------------------------------------------------------------
-# per-dimension constants
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class DimensionConstants:
-    """Certified enclosures of the dimension-d coefficients.
-
-    jn_lb_coeff: c_d in J_N >= c_d N^{-1/d};
-    jn_lb_sigma_coeff: 1/sqrt(d) in J_N >= sigma/sqrt(d);
-    sigma_lb_coeff: mink_d in sigma >= mink_d N^{-1/d};
-    jn_ub_sigma_factor: the exact integer d^2 2^d in J_N <= factor * sigma;
-    asymptote: sqrt(pi e / 2) / d, the large-d shape of c_d.
-    """
-
-    dim: int
-    digits: int
-    jn_lb_coeff: Bounds
-    jn_lb_sigma_coeff: Bounds
-    sigma_lb_coeff: Bounds
-    jn_ub_sigma_factor: int
-    asymptote: Bounds
-    gamma: GammaValue
-
-    def to_dict(self) -> dict:
-        def pair(b: Bounds) -> list[str]:
-            lo, hi = directed.bounds_decimal(b, self.digits)
-            return [lo, hi]
-
-        return {
-            "dim": self.dim,
-            "digits": self.digits,
-            "jn_lb_coeff": pair(self.jn_lb_coeff),
-            "jn_lb_sigma_coeff": pair(self.jn_lb_sigma_coeff),
-            "sigma_lb_coeff": pair(self.sigma_lb_coeff),
-            "jn_ub_sigma_factor": self.jn_ub_sigma_factor,
-            "asymptote": pair(self.asymptote),
-            "gamma_rational": str(self.gamma.rational),
-            "gamma_has_sqrt_pi": self.gamma.sqrt_pi,
-            "note": DIMENSION_FREE_NOTE,
-        }
-
-
 def _minkowski_sq_bounds(gamma: GammaValue, d: int, digits: int) -> Bounds:
     """Enclosure of mink_d^2 = (pi/4) Gamma(d/2+1)^{-2/d}, d >= 2."""
     # Gamma^{-2/d} via (Gamma^2)^{-1/d}; Gamma^2 is rational or rational *
@@ -117,54 +76,6 @@ def _minkowski_sq_bounds(gamma: GammaValue, d: int, digits: int) -> Bounds:
     base = directed.scale(pi_b, sq) if gamma.sqrt_pi else directed.exact(sq)
     gamma_pow = directed.recip(directed.root_of_bounds(base, d, digits))
     return directed.mul(directed.scale(pi_b, Fraction(1, 4)), gamma_pow)
-
-
-def constants_for(d: int, digits: int = directed.DEFAULT_DIGITS) -> DimensionConstants:
-    """Certified constants for dimension d at the given enclosure precision."""
-    if d < 1:
-        raise InputError("dimension must be positive")
-    digits = directed._check_digits(digits)
-    gamma = gamma_half_integer(d + 2)
-    pi_b = directed.pi_bounds(digits)
-    if d == 1:
-        # sqrt(pi) cancels exactly: mink_1 = (sqrt(pi)/2) / Gamma(3/2) = 1,
-        # and c_1 = 1/sqrt(1) * mink_1 = 1
-        mink = directed.exact(Fraction(1))
-        inv_sqrt_d = directed.exact(Fraction(1))
-        c_d = directed.exact(Fraction(1))
-    else:
-        mink_sq = _minkowski_sq_bounds(gamma, d, digits)
-        mink = directed.root_of_bounds(mink_sq, 2, digits)
-        r = isqrt(d)
-        if r * r == d:
-            inv_sqrt_d = directed.exact(Fraction(1, r))
-        else:
-            inv_sqrt_d = directed.recip(directed.sqrt_bounds(d, digits))
-        # c_d^2 = mink_d^2 / d; scaling by 1/d is exact on rational bounds
-        c_d = directed.root_of_bounds(directed.scale(mink_sq, Fraction(1, d)), 2, digits)
-        # c_d equals inv_sqrt_d * mink identically; the two computation
-        # paths must agree (their enclosures must intersect)
-        prod = directed.mul(inv_sqrt_d, mink)
-        if prod.hi < c_d.lo or prod.lo > c_d.hi:
-            raise InvariantViolationError(
-                "disjoint enclosures for the same constant (bug)"
-            )
-    half_pi_e = directed.scale(
-        directed.mul(pi_b, directed.e_bounds(digits)), Fraction(1, 2)
-    )
-    asymptote = directed.scale(
-        directed.root_of_bounds(half_pi_e, 2, digits), Fraction(1, d)
-    )
-    return DimensionConstants(
-        dim=d,
-        digits=digits,
-        jn_lb_coeff=c_d,
-        jn_lb_sigma_coeff=inv_sqrt_d,
-        sigma_lb_coeff=mink,
-        jn_ub_sigma_factor=d**2 * 2**d,
-        asymptote=asymptote,
-        gamma=gamma,
-    )
 
 
 def minkowski_sigma_check(

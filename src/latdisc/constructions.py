@@ -108,9 +108,8 @@ def _dual_rows_unit_leading(n: int, g) -> list[list[int]]:
     # basis of { h in Z^d : <h, g> == 0 mod n }, valid because g[0] == 1
     # pins h[0] modulo n once the other coordinates are chosen; the first
     # two rows, the dual of (1, g[1]) padded with zeros, come Gauss-reduced
+    # (d = len(g) >= 2)
     d = len(g)
-    if d == 1:
-        return [[n]]
     rows = [
         row + [0] * (d - 2)
         for row in kernels.gauss_reduce_2d([[n, 0], [-g[1], 1]])
@@ -142,8 +141,9 @@ def _dual_bases(n: int, d: int, mode: str):
     # basis starts with the Gauss-reduced block of _dual_rows_unit_leading;
     # at d = 3 it is the whole prefix basis, reduced once for its n - 1
     # generators, and once the prefix's shortest vector is no longer than
-    # the incumbent it rejects the whole block at entry.
-    if mode == "korobov":
+    # the incumbent it rejects the whole block at entry.  At d = 2 both
+    # modes scan the same generators (1, a), each dual basis that block.
+    if mode == "korobov" or d == 2:
         for g in _generators(n, d, mode):
             yield g, _dual_rows_unit_leading(n, g)
         return
@@ -207,14 +207,13 @@ def korobov_search(
     dual vector no longer than that (branch and bound, as in L'Ecuyer and
     Couture's spectral-test search).  The abort reaches into LLL, which
     gives up at entry or after a swap that brings such a vector to the
-    front.  Except in exhaustive mode at d = 2, every dual basis starts
-    from the Gauss-reduced dual basis of the generator's first two
-    coordinates (1, c), so LLL does not redo Euclid's algorithm on (n, c)
-    through d x d swaps.  In exhaustive mode with d = 3 that block is the
-    whole basis of the prefix (1, a_2), shared by its n - 1 generators
-    (component by component, as in Sloan and Reztsov), so a prefix whose
-    shortest dual vector is already no longer than the incumbent costs
-    each of its generators only the entry check.
+    front.  Every dual basis starts from the Gauss-reduced dual basis of
+    the generator's first two coordinates (1, c), so LLL does not redo
+    Euclid's algorithm on (n, c) through d x d swaps.  In exhaustive mode
+    with d = 3 that block is the whole basis of the prefix (1, a_2), shared
+    by its n - 1 generators (component by component, as in Sloan and
+    Reztsov), so a prefix whose shortest dual vector is already no longer
+    than the incumbent costs each of its generators only the entry check.
     At every d, 2 included, each generator makes exactly one LLL call, and
     re-verifying the winner makes one more.
     """
@@ -231,7 +230,7 @@ def korobov_search(
     searched = 0
     for g, rows in _dual_bases(n, d, mode):
         searched += 1
-        found = reduction._shortest_vector_int(rows, beat=best_norm)
+        found = reduction.shortest_vector(rows, beat=best_norm)
         if found is not None:
             best_norm = found[1]
             best_g = tuple(g)

@@ -1,7 +1,7 @@
 """Certified enclosures of irrational quantities, with directed rounding.
 
 The inequality certificates in this package never trust floating point.
-Whenever an irrational value (pi, e, a square or d-th root, a Gamma value)
+Whenever an irrational value (pi, a square or d-th root, a Gamma value)
 enters a comparison, it is replaced by a Bounds pair of rationals that
 provably enclose it; lower bounds are only ever rounded down and upper
 bounds up.  A strict inequality between two quantities is certified by
@@ -150,7 +150,7 @@ def root_of_bounds(a: Bounds, n: int, digits: int = DEFAULT_DIGITS) -> Bounds:
 
 
 # ---------------------------------------------------------------------------
-# pi and e
+# pi
 # ---------------------------------------------------------------------------
 
 def _arctan_recip(x: int, digits: int) -> Bounds:
@@ -181,24 +181,6 @@ def pi_bounds(digits: int = DEFAULT_DIGITS) -> Bounds:
     a = _arctan_recip(5, digits + 2)
     b = _arctan_recip(239, digits + 2)
     return Bounds(16 * a.lo - 4 * b.hi, 16 * a.hi - 4 * b.lo)
-
-
-@lru_cache(maxsize=None)
-def e_bounds(digits: int = DEFAULT_DIGITS) -> Bounds:
-    """Enclosure of e via the factorial series; tail after m terms < 2/(m+1)!."""
-    _check_digits(digits)
-    target = Fraction(1, 10 ** (digits + 4))
-    s = Fraction(0)
-    k = 0
-    factorial = 1
-    while True:
-        s += Fraction(1, factorial)
-        k += 1
-        factorial *= k
-        tail = Fraction(2, factorial)
-        if tail < target:
-            break
-    return Bounds(s, s + tail)
 
 
 # ---------------------------------------------------------------------------
@@ -293,7 +275,3 @@ def decimal_str(x, sig: int = DEFAULT_DIGITS, direction: str = "down") -> str:
         body = "0." + "0" * (-e - 1) + digits
     return "-" + body if negative else body
 
-
-def bounds_decimal(b: Bounds, sig: int = DEFAULT_DIGITS) -> tuple[str, str]:
-    """Directed decimal renderings (lo down, hi up) of an enclosure."""
-    return decimal_str(b.lo, sig, "down"), decimal_str(b.hi, sig, "up")

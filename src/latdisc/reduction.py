@@ -9,18 +9,19 @@ geometric meaning: the points of L lie on a family of parallel hyperplanes
 orthogonal to that shortest dual vector h, consecutive planes exactly
 sigma(L) apart, so a large sigma certifies a coarse hyperplane structure.
 
-Everything here is exact.  Every rank, 1 and 2 included, takes one path:
-all-integer LLL, then a Fincke-Pohst enumeration that runs in integers
-only.  The enumeration works on LLL's integral Gram-Schmidt data (Gram
-determinants d_i and lambda_ij = d_{j+1} mu_ij), scales every partial
-squared norm by one common multiple of the d_i d_{i+1}, and bounds each
-coefficient with an integer square root, so no Fraction and no float
+Everything here is exact and runs on integer rows: spectral_test hands
+shortest_vector the integral dual basis, as korobov_search does with the
+dual bases of its generators.  Every rank, 1 and 2 included, takes one
+path: all-integer LLL, then a Fincke-Pohst enumeration that runs in
+integers only.  The enumeration works on LLL's integral Gram-Schmidt data
+(Gram determinants d_i and lambda_ij = d_{j+1} mu_ij), scales every
+partial squared norm by one common multiple of the d_i d_{i+1}, and bounds
+each coefficient with an integer square root, so no Fraction and no float
 enters the tree.  The enumeration is exact on any basis of the lattice;
-LLL reduction (all-integer, on a scaled copy of the basis) only makes its
-tree smaller, so its output is not re-checked at run time.  The LLL
-inequalities are certified by the test suite's oracle
-(`lll_certificate` in tests/oracles.py).  Squared norms are the working
-currency throughout, which keeps every comparison exact.
+LLL reduction only makes its tree smaller, so its output is not re-checked
+at run time.  The LLL inequalities are certified by the test suite's
+oracle (`lll_certificate` in tests/oracles.py).  Squared norms are the
+working currency throughout, which keeps every comparison exact.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from fractions import Fraction
 
 from . import directed, kernels, lattice as lattice_mod
 from .errors import CapExceededError, InputError
-from .linalg import RationalMatrix, Vector
 
 DEFAULT_SVP_CAP = 12
 
@@ -39,7 +39,7 @@ DEFAULT_SVP_CAP = 12
 # exact shortest vector
 # ---------------------------------------------------------------------------
 
-def _shortest_vector_int(
+def shortest_vector(
     rows: list[list[int]], beat: int | None = None
 ) -> tuple[tuple[int, ...], int] | None:
     """Shortest nonzero vector of the integer lattice spanned by `rows`, as
@@ -51,7 +51,9 @@ def _shortest_vector_int(
     as soon as the lattice is known to hold a nonzero vector of squared
     norm <= beat: inside LLL when an input row or a new first row
     qualifies, else at the first such vector the enumeration reaches.
-    Zero or dependent rows raise InputError.
+    Zero or dependent rows raise InputError.  A rational basis is scaled
+    to integers first (RationalMatrix.scaled_integer_rows); shortest
+    vectors commute with uniform scaling.
     """
     try:
         reduced = kernels.lll_reduce(rows, beat=beat)
@@ -62,29 +64,6 @@ def _shortest_vector_int(
         return None
     least, ties = found
     return ties[0], least
-
-
-def shortest_vector(
-    basis: RationalMatrix, svp_cap: int = DEFAULT_SVP_CAP
-) -> tuple[Vector, Fraction]:
-    """Exact shortest nonzero vector of the lattice spanned by the rows.
-
-    Returns (vector, norm_sq).  Deterministic tie-break: sign-normalize so
-    the first nonzero coordinate is positive, then take the
-    lexicographically smallest minimal vector.  Rational bases are scaled to
-    integers (shortest vectors commute with uniform scaling).  Dimensions
-    above `svp_cap` are refused with CapExceededError.
-    """
-    if basis.n_rows > svp_cap:
-        raise CapExceededError(
-            f"shortest vector in dimension {basis.n_rows} exceeds cap {svp_cap}"
-        )
-    ints, scale = basis.scaled_integer_rows()
-    vec, norm = _shortest_vector_int(ints)
-    return (
-        tuple(Fraction(x, scale) for x in vec),
-        Fraction(norm, scale * scale),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -113,11 +92,16 @@ def spectral_test(
 ) -> SpectralResult:
     """Spectral test sigma(L): shortest dual vector, exactly.
 
-    The dual is integral (lattice.dual checks it), so the witness vector is
-    returned with int coordinates.
+    The dual is integral (lattice.dual checks it), so its rows go to
+    shortest_vector as they are and the witness has int coordinates.
+    Dimensions above `svp_cap` are refused with CapExceededError.
     """
-    vec, norm_sq = shortest_vector(lattice_mod.dual(lat), svp_cap=svp_cap)
-    vec = tuple(int(x) for x in vec)
+    if lat.dim > svp_cap:
+        raise CapExceededError(
+            f"shortest vector in dimension {lat.dim} exceeds cap {svp_cap}"
+        )
+    vec, norm = shortest_vector(lattice_mod.dual(lat).scaled_integer_rows()[0])
+    norm_sq = Fraction(norm)
     sigma_sq = 1 / norm_sq
     sigma_lo = directed.sqrt_bounds(sigma_sq, digits).lo
     return SpectralResult(

@@ -214,12 +214,22 @@ def _integer_range(lo: Fraction, hi: Fraction, open_: bool) -> tuple[int, int]:
     return ceil(lo), floor(hi)
 
 
+def _check_dim(entries: tuple, points: PointSet) -> None:
+    if len(entries) != points.dim:
+        raise InputError(
+            f"body of dimension {len(entries)} against nodes of dimension {points.dim}"
+        )
+
+
 def count_inside(points: PointSet, body: ConvexBody) -> int:
     """Number of nodes x with body_contains(body, x), in integer arithmetic:
     the normal is cleared of denominators, offsets and corners are scaled by
-    q, and each open or closed side is rounded to the integers it admits."""
+    q, and each open or closed side is rounded to the integers it admits.
+    A body whose dimension is not the nodes' raises InputError; pairing its
+    entries with the node columns would silently drop the extra ones."""
     q = points.denominator
     if isinstance(body, AxisBox):
+        _check_dim(body.lo, points)
         inside = range(len(points))
         for column, lo, hi in zip(points.columns, body.lo, body.hi):
             a, b = _integer_range(lo * q, hi * q, body.open)
@@ -227,6 +237,7 @@ def count_inside(points: PointSet, body: ConvexBody) -> int:
         return len(inside)
     if not isinstance(body, (Halfspace, Slab)):
         raise InputError(f"unknown body type {type(body).__name__}")
+    _check_dim(body.normal, points)
     scale = lcm(*(a.denominator for a in body.normal))
     values = points.products([int(a * scale) for a in body.normal])
     scale *= q

@@ -78,7 +78,7 @@ def rank1_corpus():
         for a in range(1, n):
             for g in ((1, a), (1, a, a * a % n)):
                 rows = constructions._dual_rows_unit_leading(n, g)
-                normal, lam_sq = reduction._shortest_vector_int(rows)
+                normal, lam_sq = reduction.shortest_vector(rows)
                 corpus.append((len(g), n, g, lam_sq, normal))
     for entry in corpus[::250]:
         d, n, g, lam_sq, normal = entry

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 import oracles
-from latdisc import bounds, constructions, directed, lattice, reduction
+from latdisc import bounds, constructions, directed, discrepancy, lattice, reduction
 from latdisc.errors import InputError
 
 F = Fraction
@@ -20,7 +20,30 @@ GAMMA_5_HALVES = ("1.32934038817913702047362561250", "1.329340388179137020473625
 
 
 def _decimal_pair(b, digits=30):
-    return directed.bounds_decimal(b, digits)
+    lo = directed.decimal_str(b.lo, digits, "down")
+    return lo, directed.decimal_str(b.hi, digits, "up")
+
+
+def _mink_sq(d, digits=directed.DEFAULT_DIGITS):
+    """verify_lattice's enclosure of mink_d^2, d >= 2."""
+    return bounds._minkowski_sq_bounds(bounds.gamma_half_integer(d + 2), d, digits)
+
+
+def _c_d(d, digits=directed.DEFAULT_DIGITS):
+    """c_d = mink_d / sqrt(d), from c_d^2 = mink_d^2 / d as verify_lattice
+    scales it (exact on rational bounds)."""
+    c_sq = directed.scale(_mink_sq(d, digits), F(1, d))
+    return directed.root_of_bounds(c_sq, 2, digits)
+
+
+def _mink(d, digits=directed.DEFAULT_DIGITS):
+    return directed.root_of_bounds(_mink_sq(d, digits), 2, digits)
+
+
+# e to ten digits: up to d = 32, c_d stays more than 6% below
+# sqrt(pi e / 2) / d and its ratio to it rises by more than 0.001 per step,
+# gaps far wider than this enclosure
+E = directed.Bounds(F(2718281828, 10**9), F(2718281829, 10**9))
 
 
 class TestGammaHalfInteger:
@@ -51,7 +74,7 @@ class TestGammaHalfInteger:
 
     def test_decimal_enclosure(self):
         enclosure = oracles.gamma_bounds(bounds.gamma_half_integer(5), 30)
-        assert directed.bounds_decimal(enclosure, 30) == GAMMA_5_HALVES
+        assert _decimal_pair(enclosure) == GAMMA_5_HALVES
 
     def test_nonpositive_rejected(self):
         with pytest.raises(InputError):
@@ -59,73 +82,56 @@ class TestGammaHalfInteger:
 
 
 class TestDimensionConstants:
+    """The constants verify_lattice certifies, through the enclosures it
+    computes them with."""
+
     def test_frozen_two_dimensional_values(self):
-        c = bounds.constants_for(2)
-        assert _decimal_pair(c.jn_lb_coeff) == C2
-        assert _decimal_pair(c.sigma_lb_coeff) == MINK2
-        assert _decimal_pair(c.jn_lb_sigma_coeff) == INV_SQRT2
-        assert c.jn_ub_sigma_factor == 16
+        assert _decimal_pair(_c_d(2)) == C2
+        assert _decimal_pair(_mink(2)) == MINK2
+        assert _decimal_pair(directed.recip(directed.sqrt_bounds(2))) == INV_SQRT2
 
     def test_one_dimensional_constants_are_exact_ones(self):
-        c = bounds.constants_for(1)
-        for b in (c.jn_lb_coeff, c.sigma_lb_coeff, c.jn_lb_sigma_coeff):
-            assert b.lo == b.hi == 1
-        assert c.jn_ub_sigma_factor == 2
+        # verify's d = 1 branch: the floor mink_1 / N and the sandwich
+        # c_1 / N both meet sigma = 1/N on Z/N, and d^2 2^d = 2
+        rep = bounds.verify_lattice(constructions.scaled_integer_lattice(5, 1))
+        assert rep.all_passed
+        assert rep.sigma_sq == F(1, 25)
+        assert rep.minkowski_sigma_lb_decimal == rep.sigma_decimal
+        assert F(rep.minkowski_sigma_lb_decimal) == F(1, 5)
+        assert rep.jn_upper_sq == 2**2 * rep.sigma_sq
 
     def test_identity_ties_the_three_constants(self):
         # c_d = (1 / sqrt(d)) * mink_d, checked as interval overlap
-        for d in range(1, 9):
-            c = bounds.constants_for(d)
-            prod = directed.mul(c.jn_lb_sigma_coeff, c.sigma_lb_coeff)
-            assert prod.lo <= c.jn_lb_coeff.hi and c.jn_lb_coeff.lo <= prod.hi
+        for d in range(2, 9):
+            c = _c_d(d)
+            prod = directed.mul(directed.recip(directed.sqrt_bounds(d)), _mink(d))
+            assert prod.lo <= c.hi and c.lo <= prod.hi
 
     def test_upper_factor_growth(self):
-        assert [bounds.constants_for(d).jn_ub_sigma_factor for d in (1, 2, 3, 4)] == [
-            2,
-            16,
-            72,
-            256,
+        factors_sq = [
+            discrepancy.sigma_upper_bound(d, F(1), 30)[0] for d in (1, 2, 3, 4)
         ]
+        assert factors_sq == [2**2, 16**2, 72**2, 256**2]
 
     def test_enclosures_tighten_with_digits(self):
-        lo_p = bounds.constants_for(3, digits=30)
-        hi_p = bounds.constants_for(3, digits=60)
-        for attr in ("jn_lb_coeff", "sigma_lb_coeff", "asymptote"):
-            wide = getattr(lo_p, attr)
-            tight = getattr(hi_p, attr)
+        for constant in (_c_d, _mink):
+            wide = constant(3, digits=30)
+            tight = constant(3, digits=60)
             assert tight.hi - tight.lo < wide.hi - wide.lo
             assert wide.lo <= tight.lo and tight.hi <= wide.hi
 
-    def test_asymptote_decreases_with_dimension(self):
-        # sqrt(pi e / 2) / d is the scaled large-d limit of c_d
-        values = [bounds.constants_for(d).asymptote for d in (2, 4, 8)]
-        assert values[0].lo > values[1].hi > 0
-        assert values[1].lo > values[2].hi > 0
-
     def test_constants_approach_asymptote_from_below(self):
-        ratios = []
-        for d in (2, 4, 8, 16, 32):
-            c = bounds.constants_for(d)
-            ratios.append((c.jn_lb_coeff.lo / c.asymptote.hi, c.jn_lb_coeff.hi / c.asymptote.lo))
-        for (lo, hi), (next_lo, _) in zip(ratios, ratios[1:]):
-            assert hi < 1
-            assert lo < next_lo
-        assert ratios[-1][0] > F(9, 10)
-
-    def test_perfect_square_dimension_exact_inverse_root(self):
-        c = bounds.constants_for(4)
-        assert c.jn_lb_sigma_coeff.lo == c.jn_lb_sigma_coeff.hi == F(1, 2)
-
-    def test_to_dict_carries_note(self):
-        data = bounds.constants_for(2).to_dict()
-        assert data["note"] == bounds.DIMENSION_FREE_NOTE
-        json.dumps(data)
-
-    def test_input_validation(self):
-        with pytest.raises(InputError):
-            bounds.constants_for(0)
-        with pytest.raises(InputError):
-            bounds.constants_for(2, digits=10)
+        # (c_d / (sqrt(pi e / 2) / d))^2 = c_d^2 2 d^2 / (pi e) stays below 1
+        # and rises with d
+        half_pi_e = directed.scale(directed.mul(directed.pi_bounds(30), E), F(1, 2))
+        ratios = [
+            directed.div(directed.scale(_mink_sq(d, 30), F(d)), half_pi_e)
+            for d in range(2, 33)
+        ]
+        for r, next_r in zip(ratios, ratios[1:]):
+            assert r.hi < next_r.lo
+        assert ratios[-1].hi < 1
+        assert ratios[-1].lo > F(9, 10) ** 2
 
 
 class TestMinkowskiSigmaCheck:
@@ -203,6 +209,7 @@ class TestVerifyLattice:
         text = json.dumps(rep.to_dict(), sort_keys=True)
         data = json.loads(text)
         assert data["checks"]["sigma_vs_minkowski"] is True
+        assert data["note"] == bounds.DIMENSION_FREE_NOTE
 
 
 class TestReportsCSV:

@@ -185,10 +185,39 @@ class TestLowRankShortestVector:
         assert hashlib.sha256(out.encode()).hexdigest() == self.DIGESTS[args]
 
 
+class TestSpectralOutput:
+    """The spectral test at d = 3 and 4, pinned to the SHA-256 of the output
+    printed while it went through a Fraction shortest-vector wrapper that
+    scaled the dual to integers and back."""
+
+    DIGESTS = {
+        "spectral --family bad --m 3 --d 3":
+            "9162efd70169d27daf0fb61a89ae1c43ab4007cad9fce09385f4c7614ab85e4d",
+        "spectral --family korobov --n 101 --a 30 --d 4 --digits 60":
+            "ecf260b2c745642f7dedc565a15d6732a59d95a00cec49b638eab741ab49e006",
+    }
+
+    @pytest.mark.parametrize("args", sorted(DIGESTS))
+    def test_output_unchanged(self, capsys, args):
+        code, out = run_cli(capsys, *args.split())
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == self.DIGESTS[args]
+
+    def test_cap_exceeded(self, capsys):
+        code = cli.main(["spectral", "--family", "scaled", "--m", "2", "--d", "13"])
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == ""
+        assert captured.err.splitlines() == [
+            "latdisc: cap exceeded: shortest vector in dimension 13 exceeds cap 12"
+        ]
+
+
 class TestGeneratorSearchOutput:
-    """Searches at d >= 3 in both modes, pinned to the SHA-256 of the output
-    printed while LLL ran as structured closures and only the exhaustive
-    d = 3 search started from a Gauss-reduced 2d block."""
+    """Generator searches, pinned to the SHA-256 of the output printed
+    before the change each guards: at d >= 3, while LLL ran as structured
+    closures and only the exhaustive d = 3 search started from a
+    Gauss-reduced 2d block; exhaustive at d = 2, while its dual bases were
+    the raw [[n, 0], [-a, 1]]."""
 
     DIGESTS = {
         "search --n 61 --d 3 --mode exhaustive":
@@ -201,6 +230,10 @@ class TestGeneratorSearchOutput:
             "6be5b98f667d0efe2fe435ab5a3df56ec33087d7c1e847154292f6b8bcb10e40",
         "search --n 13 --d 5 --mode exhaustive":
             "940283b1be9e147ad70b3921beb2139683265e65829c5738acf6aefba91e963d",
+        "search --n 4001 --d 2 --mode exhaustive":
+            "4f4200369f756f061998cc2694b393f51b900a10a5c0727511f0d0fe5264ffff",
+        "search --n 1009 --d 2 --mode exhaustive --format csv":
+            "9c17e642593ec70f9c40e98658c11027aef82d9f7472fa440254b7ba0b4fcb15",
     }
 
     @pytest.mark.parametrize("args", sorted(DIGESTS))

@@ -1,4 +1,4 @@
-"""Directed rational enclosures: roots, pi, e, rendering, certified compares."""
+"""Directed rational enclosures: roots, pi, rendering, certified compares."""
 
 from fractions import Fraction
 
@@ -9,10 +9,8 @@ from hypothesis import strategies as st
 from latdisc import directed
 from latdisc.directed import (
     Bounds,
-    bounds_decimal,
     certify_le,
     decimal_str,
-    e_bounds,
     exact,
     floor_sqrt,
     integer_nth_root,
@@ -27,8 +25,6 @@ F = Fraction
 # truncated references: the true constant lies in [REF, REF + REF_GAP]
 PI_REF = F(31415926535897932384626433832795028841971693993751, 10**49)
 PI_GAP = F(1, 10**49)
-E_REF = F(27182818284590452353602874713526624977572470936999, 10**49)
-E_GAP = F(1, 10**49)
 
 
 class TestIntegerRoots:
@@ -82,12 +78,6 @@ class TestConstants:
         # the enclosure and the reference interval must overlap
         assert b.lo <= PI_REF + PI_GAP
         assert PI_REF <= b.hi
-
-    def test_e_enclosure(self):
-        b = e_bounds(50)
-        assert b.hi - b.lo <= F(1, 10**48)
-        assert b.lo <= E_REF + E_GAP
-        assert E_REF <= b.hi
 
     def test_more_digits_tighten(self):
         coarse = pi_bounds(30)
@@ -162,10 +152,6 @@ class TestDecimalRendering:
         up = F(decimal_str(x, sig, "up"))
         assert down <= x <= up
         assert up - down <= F(10) ** (-(sig - 1)) * max(1, x)
-
-    def test_bounds_decimal(self):
-        lo, hi = bounds_decimal(sqrt_bounds(2, 30), 30)
-        assert F(lo) ** 2 <= 2 <= F(hi) ** 2
 
     def test_zero(self):
         assert decimal_str(F(0), 30, "down") == "0"

@@ -123,6 +123,8 @@ def rank1_dual_bases(draw, dims=(3, 6)):
     d = draw(st.integers(*dims))
     n = draw(st.integers(2, 5000))
     g = [1] + draw(st.lists(st.integers(1, n - 1), min_size=d - 1, max_size=d - 1))
+    if d == 1:
+        return [[n]]  # the dual of the rule (1) / n; searches start at d = 2
     return constructions._dual_rows_unit_leading(n, g)
 
 
@@ -187,14 +189,14 @@ class TestBeat:
     @given(st.one_of(random_bases(dims=(1, 5)), rank1_dual_bases()), st.integers(0, 3))
     @settings(max_examples=200, deadline=None)
     def test_abort_only_when_beaten(self, rows, slack):
-        full = reduction._shortest_vector_int(rows)
+        full = reduction.shortest_vector(rows)
         least = full[1]
-        assert reduction._shortest_vector_int(rows, beat=least - 1 - slack) == full
-        assert reduction._shortest_vector_int(rows, beat=least + slack) is None
+        assert reduction.shortest_vector(rows, beat=least - 1 - slack) == full
+        assert reduction.shortest_vector(rows, beat=least + slack) is None
 
     def test_zero_beat_never_aborts(self):
         rows = [[5, 0, 0], [0, 7, 0], [0, 0, 9]]
-        assert reduction._shortest_vector_int(rows, beat=0) == ((5, 0, 0), 25)
+        assert reduction.shortest_vector(rows, beat=0) == ((5, 0, 0), 25)
 
 
 class TestLLLBeat:
@@ -281,7 +283,7 @@ class TestGeneratorSearch:
         searched = 0
         for g in constructions._generators(n, d, mode):
             searched += 1
-            _, norm = reduction._shortest_vector_int(
+            _, norm = reduction.shortest_vector(
                 constructions._dual_rows_unit_leading(n, g)
             )
             key = (-norm, tuple(g))
@@ -297,17 +299,15 @@ class TestGeneratorSearch:
     def test_dual_bases_span_the_dual(self, n, d, mode):
         # the bases come in _generators order, each spans the same lattice
         # as the generator's raw unit-leading dual basis, and each starts
-        # with a Gauss-reduced 2d block; exhaustive d = 2 has no such block,
-        # its prefix (1) having the 1-row dual (n)
+        # with a Gauss-reduced 2d block
         pairs = list(constructions._dual_bases(n, d, mode))
         assert [g for g, _ in pairs] == list(constructions._generators(n, d, mode))
         for g, rows in pairs:
             raw = _raw_dual_rows(n, g)
             assert linalg.hnf(RationalMatrix(rows)) == linalg.hnf(RationalMatrix(raw))
-            if mode == "korobov" or d >= 3:
-                u, v = rows[0], rows[1]
-                assert dot(u, u) <= dot(v, v)
-                assert abs(2 * dot(u, v)) <= dot(u, u)
+            u, v = rows[0], rows[1]
+            assert dot(u, u) <= dot(v, v)
+            assert abs(2 * dot(u, v)) <= dot(u, u)
 
     @pytest.mark.parametrize(
         "mode,n,d",

@@ -64,36 +64,27 @@ class TestLLLReduce:
 class TestShortestVector:
     def test_known_dual_minimum(self):
         dl = lattice.dual(lattice.from_rank1(5, (1, 3)))
-        vec, norm = reduction.shortest_vector(dl)
+        vec, norm = reduction.shortest_vector(dl.scaled_integer_rows()[0])
         assert (vec, norm) == ((1, -2), 5)
 
     def test_tie_break_is_canonical(self):
         # Z^2 has four minimal vectors; sign rule keeps (0,1) and (1,0),
         # lexicographic rule then picks (0,1).
-        vec, norm = reduction.shortest_vector(RationalMatrix([[1, 0], [0, 1]]))
+        vec, norm = reduction.shortest_vector([[1, 0], [0, 1]])
         assert (vec, norm) == ((0, 1), 1)
 
     def test_scaling_invariance(self):
         rows = [[4, 7, 1], [3, 5, 0], [0, 2, 9]]
-        vec, norm = reduction.shortest_vector(RationalMatrix(rows))
-        scaled_rows = [[F(x, 7) for x in row] for row in rows]
-        svec, snorm = reduction.shortest_vector(RationalMatrix(scaled_rows))
-        assert snorm == norm / 49
-        assert tuple(x * 7 for x in svec) == vec
-
-    def test_cap(self):
-        d = reduction.DEFAULT_SVP_CAP + 1
-        eye = oracles.identity(d)
-        with pytest.raises(CapExceededError):
-            reduction.shortest_vector(eye)
-        vec, norm = reduction.shortest_vector(eye, svp_cap=d)
-        assert norm == 1
+        vec, norm = reduction.shortest_vector(rows)
+        svec, snorm = reduction.shortest_vector([[7 * x for x in row] for row in rows])
+        assert snorm == 49 * norm
+        assert svec == tuple(7 * x for x in vec)
 
     def test_zero_row_is_input_error(self):
         # zero and dependent rows at rank 1 and 2 reach LLL's Gram-Schmidt
         for rows in ([[0]], [[0, 0], [1, 2]], [[1, 2], [2, 4]]):
             with pytest.raises(InputError):
-                reduction.shortest_vector(RationalMatrix(rows))
+                reduction.shortest_vector(rows)
 
     def test_agrees_with_bruteforce_oracle(self):
         rng = random.Random(31337)
@@ -105,7 +96,7 @@ class TestShortestVector:
                 ]
                 if linalg.det(RationalMatrix(rows)) != 0:
                     break
-            vec, norm = reduction.shortest_vector(RationalMatrix(rows))
+            vec, norm = reduction.shortest_vector(rows)
             ovec, onorm = oracles.shortest_vector_bruteforce(rows)
             # the oracle certifies the minimum norm; the canonical witness
             # is production's own tie-break, checked by norm and membership
@@ -151,6 +142,14 @@ class TestSpectralTest:
         res = reduction.spectral_test(lattice.from_rank1(21, (1, 13, 8)))
         assert all(isinstance(x, int) for x in res.shortest_dual_vector)
 
+    def test_cap(self):
+        d = reduction.DEFAULT_SVP_CAP + 1
+        lat = lattice.from_basis(oracles.identity(d).rows)
+        message = f"^shortest vector in dimension {d} exceeds cap {d - 1}$"
+        with pytest.raises(CapExceededError, match=message):
+            reduction.spectral_test(lat)
+        assert reduction.spectral_test(lat, svp_cap=d).shortest_dual_norm_sq == 1
+
     def test_witness_in_dual(self):
         lat = lattice.from_rank1(13, (1, 5))
         res = reduction.spectral_test(lat)
@@ -176,8 +175,9 @@ class TestDiameterBound:
         """(reduced basis, squared row norms, dual minimum lambda_1^2)."""
         reduced = _lll(rows)
         dual = linalg.inverse(RationalMatrix(reduced)).transpose()
-        _, dual_min = reduction.shortest_vector(dual)
-        return reduced, [linalg.dot(b, b) for b in reduced], dual_min
+        ints, scale = dual.scaled_integer_rows()
+        _, norm = reduction.shortest_vector(ints)
+        return reduced, [linalg.dot(b, b) for b in reduced], F(norm, scale**2)
 
     def test_certified_on_reduced_bases(self):
         for rows in self.BASES:

@@ -229,6 +229,25 @@ class TestContainsAndDiscrepancy:
         with pytest.raises(InputError):
             volume.local_discrepancy(empty, Halfspace((1, 0), 1))
 
+    @pytest.mark.parametrize(
+        "body",
+        [
+            Halfspace((1, 2, 3), F(1, 2)),
+            Halfspace((1,), F(1, 2)),
+            Slab((1, 2, 3), 0, F(1, 2)),
+            Slab((1,), 0, F(1, 2)),
+            AxisBox((0,), (F(1, 2),)),
+            AxisBox((0, 0, 0), (1, 1, 1)),
+        ],
+    )
+    def test_body_of_wrong_dimension_rejected(self, body):
+        # the 8 nodes of the 2d Fibonacci rule (1, 5) / 8
+        pts = lattice.enumerate_points(lattice.from_rank1(8, (1, 5)))
+        with pytest.raises(InputError, match="dimension"):
+            volume.count_inside(pts, body)
+        with pytest.raises(InputError, match="dimension"):
+            volume.local_discrepancy(pts, body)
+
     @given(
         st.integers(2, 30),
         st.lists(st.integers(0, 29), min_size=2, max_size=2),
