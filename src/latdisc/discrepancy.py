@@ -24,15 +24,13 @@ body; the estimator re-verifies each winning witness with a literal pass
 over the points before reporting it.  The only irrational quantity, the
 sigma-based upper bound d^2 2^d sigma(L), is carried in exact squared form.
 
-The search's scans compare candidates with the incumbent in integers
-(integer node counts against the integer volume numerators of
-volume.CubeSection) and build a body and a Fraction only for a candidate
-that ties or beats the incumbent.  The node counts are running counts over
-the sorted distinct node values of one direction or axis, and the gap
-slabs between adjacent values are empty by construction, like the slab
-certificate.  The search stops at the first evaluation past its budget;
-the certificate bodies are re-checked and the winning witnesses
-re-verified literally, as before.
+The search is one stream of candidates, and its budget is a slice of the
+stream: each scan is a generator that yields a candidate's discrepancy in
+integers (integer node counts against the integer volume numerators of
+volume.CubeSection), and one loop takes the first `budget` candidates and
+builds a body and a Fraction only for one that ties or beats the
+incumbent.  The gap slabs between adjacent node values are empty by
+construction, like the slab certificate.
 """
 
 from __future__ import annotations
@@ -42,6 +40,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from math import gcd
 
 from . import directed, kernels, reduction, volume
@@ -64,8 +63,8 @@ class SlabCertificate:
     Every node satisfies <normal, x> in Z, so the open slab between the
     planes k0 and k0 + 1 contains no node at all; its volume is therefore a
     certified lower bound on J_N (|0/N - vol| = vol).  The slab is chosen to
-    contain the cube center when possible, and the larger-volume neighbor of
-    the center plane otherwise.
+    contain the cube center when possible, and the neighbor just above the
+    center plane otherwise (the one just below has the same volume).
     """
 
     body: Slab
@@ -134,19 +133,11 @@ def slab_certificate(
     slab's emptiness is checked against every node."""
     pts = _points_for(lat, points)
     normal = spectral.shortest_dual_vector
-    center_value = Fraction(sum(normal), 2)
-    if center_value.denominator == 1:
-        # the center lies on a plane of the family; take the larger-volume
-        # neighbor slab, preferring the upper one on ties
-        k = int(center_value)
-        lower = Slab(normal, k - 1, k, open=True)
-        upper = Slab(normal, k, k + 1, open=True)
-        slab = max(
-            (lower, upper), key=lambda s: (volume.body_volume(s), s.lo)
-        )
-    else:
-        k = center_value.numerator // center_value.denominator
-        slab = Slab(normal, k, k + 1, open=True)
+    # the slab holding the cube's center, or the one just above the plane
+    # through it: x -> 1 - x maps the slab just below that plane onto this
+    # one, so neither is larger
+    k = sum(normal) // 2
+    slab = Slab(normal, k, k + 1, open=True)
     inside = volume.count_inside(pts, slab)
     if inside != 0:
         raise InvariantViolationError(
@@ -262,31 +253,22 @@ def _primitive_direction(vec) -> tuple[int, ...] | None:
     return kernels.canonical_sign([x // g for x in vec])
 
 
-class _OutOfBudget(Exception):
-    """Raised by _Search.spend once every evaluation has been spent."""
-
-
 class _Search:
-    """Deterministic budgeted search state (internal to the estimator).
+    """Deterministic search state (internal to the estimator).
 
-    The scans compare each candidate with the incumbent in integers: its
-    discrepancy is count/N - num/den with integer node counts and the
-    integer volume numerators of volume.CubeSection, so a candidate is one
-    cross-multiplication.  Node counts are running counts over the sorted
-    distinct values of one Counter, and a gap slab between adjacent values
-    holds no node by construction.  A body and a Fraction are built only
-    for a candidate that ties or beats the incumbent, and `record` sees
-    exactly the bodies and values a body-by-body search would have
-    recorded.  Per-node passes read the node set's numerator columns: one
-    products stream per direction, and one column per axis.  `spend` raises
-    _OutOfBudget at the first evaluation past the budget.  The winning
-    witnesses are still re-verified literally by the estimator."""
+    Each scan is a generator of candidates (num, den, make, args): the
+    discrepancy count/N - vol as the integers num/den, and the builder
+    make(*args) of its body.  Node counts are running counts over the
+    sorted distinct values of one Counter.  `evaluate` alone spends the
+    budget, so a scan the budget never reaches does no setup work, and
+    `record` sees exactly the bodies and values a body-by-body search would
+    have recorded.  Per-node passes read the node set's numerator columns:
+    one products stream per direction, and one column per axis."""
 
-    def __init__(self, points: PointSet, budget: int, seed: int):
+    def __init__(self, points: PointSet, seed: int):
         self.points, self.q = points, points.denominator
         self.n = len(points)
         self.dim = points.dim
-        self.budget = budget
         self.evaluations = 0
         self.best = Fraction(0)
         self.witnesses: dict[ConvexBody, None] = {}  # insertion-ordered ties
@@ -303,21 +285,27 @@ class _Search:
         elif magnitude == self.best and magnitude > 0:
             self.witnesses[body] = None  # a repeated tie keeps its place
 
-    def _beats(self, num: int, den: int) -> bool:
-        """Whether the discrepancy num/den (den > 0) would change `record`'s
-        state: it beats the incumbent, or ties it at a nonzero value."""
-        best = self.best
-        return num != 0 and abs(num) * best.denominator >= best.numerator * den
-
-    def spend(self) -> None:
-        if self.evaluations >= self.budget:
-            raise _OutOfBudget
-        self.evaluations += 1
+    def evaluate(self, candidates, budget: int) -> None:
+        """Evaluate the first `budget` candidates of the stream: a candidate
+        with discrepancy num/den (den > 0) goes to `record` when it beats
+        the incumbent, or ties it at a nonzero value."""
+        best_num, best_den = self.best.numerator, self.best.denominator
+        for num, den, make, args in islice(candidates, budget):
+            self.evaluations += 1
+            if num and abs(num) * best_den >= best_num * den:
+                self.record(make(*args), Fraction(num, den))
+                best_num, best_den = self.best.numerator, self.best.denominator
 
     # -- normal-direction scans -------------------------------------------
 
-    def scan_normal(self, direction: tuple[int, ...]) -> None:
-        """Evaluate halfspaces and gap slabs for one normal direction at all
+    def _halfspace(self, direction, v: int, closed: bool) -> Halfspace:
+        return Halfspace(direction, Fraction(v, self.q), closed=closed)
+
+    def _slab(self, direction, lo: int, hi: int) -> Slab:
+        return Slab(direction, Fraction(lo, self.q), Fraction(hi, self.q), open=True)
+
+    def scan_normal(self, direction: tuple[int, ...]):
+        """The halfspaces and gap slabs of one normal direction at all
         point-induced critical offsets.
 
         A candidate's discrepancy is (count * den - N * num(v)) / (N * den),
@@ -330,36 +318,23 @@ class _Search:
         self.scanned.add(direction)
         counts = Counter(self.points.products(direction))
         unique = sorted(counts)
-        n, q = self.n, self.q
-        section = volume.CubeSection(direction, q)
+        n = self.n
+        section = volume.CubeSection(direction, self.q)
         den = section.den
         total = n * den
-        cube_lo = q * sum(min(a, 0) for a in direction)
-        cube_hi = q * sum(max(a, 0) for a in direction)
+        halfspace, slab = self._halfspace, self._slab
         nums = []
         below = 0
         for v in unique:
-            self.spend()
             num = section.numerator(v)
             nums.append(num)
-            delta = (below + counts[v]) * den - n * num
-            if self._beats(delta, total):
-                body = Halfspace(direction, Fraction(v, q), closed=True)
-                self.record(body, Fraction(delta, total))
-            self.spend()
-            delta = below * den - n * num
-            if self._beats(delta, total):
-                body = Halfspace(direction, Fraction(v, q), closed=False)
-                self.record(body, Fraction(delta, total))
+            yield (below + counts[v]) * den - n * num, total, halfspace, (direction, v, True)
+            yield below * den - n * num, total, halfspace, (direction, v, False)
             below += counts[v]
-        previous, low = cube_lo, 0
-        for v, high in zip(unique + [cube_hi], nums + [den]):
+        previous, low = -section.shift, 0
+        for v, high in zip(unique + [section.top - section.shift], nums + [den]):
             if v > previous:
-                self.spend()
-                delta = -n * (high - low)
-                if self._beats(delta, total):
-                    body = Slab(direction, Fraction(previous, q), Fraction(v, q), open=True)
-                    self.record(body, Fraction(delta, total))
+                yield -n * (high - low), total, slab, (direction, previous, v)
                 previous, low = v, high
 
     # -- axis boxes ---------------------------------------------------------
@@ -377,7 +352,13 @@ class _Search:
                 self._axis_interior.append(Counter(col) - Counter(col[i] for i in others))
         return self._axis_interior
 
-    def scan_axis_boxes(self, axis: int) -> None:
+    def _box(self, axis: int, v: int, below: bool) -> AxisBox:
+        """The open box of the cube below (or above) the cut x_axis = v/q."""
+        lo, hi = [Fraction(0)] * self.dim, [Fraction(1)] * self.dim
+        (hi if below else lo)[axis] = Fraction(v, self.q)
+        return AxisBox(tuple(lo), tuple(hi), open=True)
+
+    def scan_axis_boxes(self, axis: int):
         """Open boxes spanning the cube except along one axis, cut at every
         point-induced critical value v in (0, q].
 
@@ -387,25 +368,13 @@ class _Search:
         counts = self._interior_projections()[axis]
         n, q = self.n, self.q
         total = n * q
-        d = self.dim
-        ones = tuple(Fraction(1) for _ in range(d))
-        zeros = tuple(Fraction(0) for _ in range(d))
+        box = self._box
         below, above = 0, sum(counts.values()) - counts[0]
         for v in self._pool(axis)[1:]:
-            self.spend()
-            delta = below * q - n * v
-            if self._beats(delta, total):
-                cut = Fraction(v, q)
-                hi = tuple(cut if k == axis else Fraction(1) for k in range(d))
-                self.record(AxisBox(zeros, hi, open=True), Fraction(delta, total))
+            yield below * q - n * v, total, box, (axis, v, True)
             if v < q:
                 above -= counts[v]
-                self.spend()
-                delta = above * q - n * (q - v)
-                if self._beats(delta, total):
-                    cut = Fraction(v, q)
-                    lo = tuple(cut if k == axis else Fraction(0) for k in range(d))
-                    self.record(AxisBox(lo, ones, open=True), Fraction(delta, total))
+                yield above * q - n * (q - v), total, box, (axis, v, False)
                 below += counts[v]
 
     def _pool(self, axis: int) -> list[int]:
@@ -414,7 +383,9 @@ class _Search:
             self._axis_pools[axis] = sorted({0, self.q, *self.points.columns[axis]})
         return self._axis_pools[axis]
 
-    def random_box(self) -> None:
+    def random_box(self):
+        """One seeded random box with corners among the pools, as a
+        candidate whose discrepancy is its literal local_discrepancy."""
         lo = []
         hi = []
         for axis in range(self.dim):
@@ -428,9 +399,9 @@ class _Search:
         is_open = self.rng.random() < 0.5
         if is_open and any(a == b for a, b in zip(lo, hi)):
             is_open = False
-        body = AxisBox(tuple(lo), tuple(hi), open=is_open)
-        self.spend()
-        self.record(body, volume.local_discrepancy(self.points, body))
+        args = (tuple(lo), tuple(hi), is_open)
+        delta = volume.local_discrepancy(self.points, AxisBox(*args))
+        return delta.numerator, delta.denominator, AxisBox, args
 
     def random_normal(self) -> tuple[int, ...] | None:
         raw = [
@@ -440,25 +411,22 @@ class _Search:
         return _primitive_direction(raw)
 
 
-def _run(search: _Search, normals: list[tuple[int, ...]]) -> None:
-    """Scan the halfspaces and slabs of `normals` in order, then the
-    axis-box families, then seeded random normals and random boxes, until
-    the search's evaluation budget is spent."""
-    try:
-        for direction in normals:
-            search.scan_normal(direction)
-        for axis in range(search.points.dim):
-            search.scan_axis_boxes(axis)
-        duds = 0
-        while duds < 2000:
-            direction = search.random_normal()
-            if direction is None or direction in search.scanned:
-                duds += 1
-            else:
-                search.scan_normal(direction)
-            search.random_box()
-    except _OutOfBudget:
-        pass
+def _candidates(search: _Search, normals: list[tuple[int, ...]]):
+    """The search's candidate stream: the halfspaces and slabs of `normals`
+    in order, then the axis-box families, then seeded random normals and
+    random boxes until 2000 random normals were zero or already scanned."""
+    for direction in normals:
+        yield from search.scan_normal(direction)
+    for axis in range(search.dim):
+        yield from search.scan_axis_boxes(axis)
+    duds = 0
+    while duds < 2000:
+        direction = search.random_normal()
+        if direction is None or direction in search.scanned:
+            duds += 1
+        else:
+            yield from search.scan_normal(direction)
+        yield search.random_box()
 
 
 def estimate_isotropic_discrepancy(
@@ -474,10 +442,12 @@ def estimate_isotropic_discrepancy(
     search is deterministic given (points, certificates, budget, seed).  It
     always starts with the mandatory candidates: both certificate witness
     bodies enter budget-free after a literal re-check against `points`, and
-    the planes' normal heads the normal list; then come the axis directions
-    and axis-box families at point-induced critical offsets, and finally
-    seeded random integer normals in [-10, 10]^d and random boxes until the
-    evaluation budget is spent.  Each candidate body costs one budget unit.
+    the planes' normal heads the normal list.  The candidate stream then
+    runs the halfspaces and slabs of those normals and the axis directions,
+    the axis-box families at point-induced critical offsets, and finally
+    seeded random integer normals in [-10, 10]^d and random boxes, until
+    2000 random normals were zero or already scanned.  The search evaluates
+    the first `budget` candidates of that stream, each one budget unit.
     Winning witnesses are re-verified with a literal pass over the point
     set.  The sigma upper bound d^2 2^d sigma(L) is attached in exact
     squared form, from the planes' sigma_sq.
@@ -486,7 +456,7 @@ def estimate_isotropic_discrepancy(
         raise InputError("budget must be nonnegative")
     if len(points) == 0:
         raise InputError("empty point set")
-    search = _Search(points, budget, seed)
+    search = _Search(points, seed)
     d = points.dim
     slab_cert, plane_cert = certificates
     for body, bound in (
@@ -505,7 +475,7 @@ def estimate_isotropic_discrepancy(
     normals = [_primitive_direction(plane_cert.normal)]
     normals += [tuple(int(k == axis) for k in range(d)) for axis in range(d)]
 
-    _run(search, normals)
+    search.evaluate(_candidates(search, normals), budget)
 
     for body in search.witnesses:
         if abs(volume.local_discrepancy(points, body)) != search.best:

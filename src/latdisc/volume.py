@@ -190,21 +190,21 @@ def body_volume(body: ConvexBody) -> Fraction:
 
 
 def body_contains(body: ConvexBody, point) -> bool:
-    """Exact membership of a rational point, honoring open/closed flags."""
+    """Exact membership of a rational point, honoring open/closed flags.
+    A point whose dimension is not the body's raises InputError."""
     x = as_vector(point)
-    if isinstance(body, Halfspace):
-        s = sum(a * xi for a, xi in zip(body.normal, x))
-        return s <= body.offset if body.closed else s < body.offset
-    if isinstance(body, Slab):
-        s = sum(a * xi for a, xi in zip(body.normal, x))
-        if body.open:
-            return body.lo < s < body.hi
-        return body.lo <= s <= body.hi
     if isinstance(body, AxisBox):
+        _check_dim(body.lo, len(x))
         if body.open:
             return all(a < xi < b for a, xi, b in zip(body.lo, x, body.hi))
         return all(a <= xi <= b for a, xi, b in zip(body.lo, x, body.hi))
-    raise InputError(f"unknown body type {type(body).__name__}")
+    if not isinstance(body, (Halfspace, Slab)):
+        raise InputError(f"unknown body type {type(body).__name__}")
+    _check_dim(body.normal, len(x))
+    s = sum(a * xi for a, xi in zip(body.normal, x))
+    if isinstance(body, Halfspace):
+        return s <= body.offset if body.closed else s < body.offset
+    return body.lo < s < body.hi if body.open else body.lo <= s <= body.hi
 
 
 def _integer_range(lo: Fraction, hi: Fraction, open_: bool) -> tuple[int, int]:
@@ -214,10 +214,10 @@ def _integer_range(lo: Fraction, hi: Fraction, open_: bool) -> tuple[int, int]:
     return ceil(lo), floor(hi)
 
 
-def _check_dim(entries: tuple, points: PointSet) -> None:
-    if len(entries) != points.dim:
+def _check_dim(entries: tuple, dim: int) -> None:
+    if len(entries) != dim:
         raise InputError(
-            f"body of dimension {len(entries)} against nodes of dimension {points.dim}"
+            f"body of dimension {len(entries)} against points of dimension {dim}"
         )
 
 
@@ -229,7 +229,7 @@ def count_inside(points: PointSet, body: ConvexBody) -> int:
     entries with the node columns would silently drop the extra ones."""
     q = points.denominator
     if isinstance(body, AxisBox):
-        _check_dim(body.lo, points)
+        _check_dim(body.lo, points.dim)
         inside = range(len(points))
         for column, lo, hi in zip(points.columns, body.lo, body.hi):
             a, b = _integer_range(lo * q, hi * q, body.open)
@@ -237,7 +237,7 @@ def count_inside(points: PointSet, body: ConvexBody) -> int:
         return len(inside)
     if not isinstance(body, (Halfspace, Slab)):
         raise InputError(f"unknown body type {type(body).__name__}")
-    _check_dim(body.normal, points)
+    _check_dim(body.normal, points.dim)
     scale = lcm(*(a.denominator for a in body.normal))
     values = points.products([int(a * scale) for a in body.normal])
     scale *= q

@@ -7,8 +7,8 @@
   vertex subsets, one bit mask at a time, against the integer vertex-sum
   kernel volume.CubeSection.
 - The discrepancy search: FractionSearch builds every candidate body and
-  its Fraction discrepancy, against the integer scans of
-  discrepancy._Search.
+  its Fraction discrepancy and spends the budget in its own loop, against
+  the integer candidate stream of discrepancy._Search.
 - LLL reduction: lll_certificate re-derives the Gram-Schmidt data of the
   integer kernel's output in Fractions and checks every reducedness claim;
   lll_reduce_reference is the structured form of the kernel's flat loop,
@@ -426,15 +426,16 @@ class FractionSearch(discrepancy._Search):
     whose Fraction discrepancy goes to `record`, with volumes from the
     reference above and one pass over the nodes per axis projection.
 
-    `phases` names the scan that spent each evaluation ("halfspace",
-    "slab", "axis_box" or "random_box"), so a test can pick budgets that
-    run out inside a given loop.  `record` tests tie membership by equality
-    with each witness in turn, where the search hashes the body."""
+    The scans yield (phase, body, delta), and `evaluate` pulls at most
+    `budget` of them one at a time, so `phases` names the scan that spent
+    each evaluation ("halfspace", "slab", "axis_box" or "random_box") and a
+    test can pick budgets that run out inside a given loop.  `record` tests
+    tie membership by equality with each witness in turn, where the search
+    hashes the body."""
 
-    def __init__(self, points, budget, seed):
-        super().__init__(points, budget, seed)
+    def __init__(self, points, seed):
+        super().__init__(points, seed)
         self.nodes = list(zip(*points.columns))  # numerator vectors, node order
-        self.phase = None
         self.phases: list[str] = []
         self._projections: dict[int, list[int]] = {}
 
@@ -447,9 +448,16 @@ class FractionSearch(discrepancy._Search):
             if not any(body == w for w in self.witnesses):
                 self.witnesses[body] = None
 
-    def spend(self):
-        super().spend()
-        self.phases.append(self.phase)
+    def evaluate(self, candidates, budget):
+        stream = iter(candidates)
+        while self.evaluations < budget:
+            candidate = next(stream, None)
+            if candidate is None:
+                return
+            phase, body, delta = candidate
+            self.evaluations += 1
+            self.phases.append(phase)
+            self.record(body, delta)
 
     def scan_normal(self, direction):
         if direction in self.scanned:
@@ -460,22 +468,17 @@ class FractionSearch(discrepancy._Search):
         n, q = self.n, self.q
         cube_lo = q * sum(min(a, 0) for a in direction)
         cube_hi = q * sum(max(a, 0) for a in direction)
-        self.phase = "halfspace"
         for v in unique:
-            self.spend()
             body = Halfspace(direction, Fraction(v, q), closed=True)
-            self.record(body, Fraction(bisect_right(values, v), n) - body_volume(body))
-            self.spend()
+            yield "halfspace", body, Fraction(bisect_right(values, v), n) - body_volume(body)
             body = Halfspace(direction, Fraction(v, q), closed=False)
-            self.record(body, Fraction(bisect_left(values, v), n) - body_volume(body))
-        self.phase = "slab"
+            yield "halfspace", body, Fraction(bisect_left(values, v), n) - body_volume(body)
         previous = cube_lo
         for v in unique + [cube_hi]:
             if v > previous:
-                self.spend()
                 body = Slab(direction, Fraction(previous, q), Fraction(v, q), open=True)
                 inside = bisect_left(values, v) - bisect_right(values, previous)
-                self.record(body, Fraction(inside, n) - body_volume(body))
+                yield "slab", body, Fraction(inside, n) - body_volume(body)
             previous = max(previous, v)
 
     def _interior_projection(self, axis):
@@ -489,7 +492,6 @@ class FractionSearch(discrepancy._Search):
         return self._projections[axis]
 
     def scan_axis_boxes(self, axis):
-        self.phase = "axis_box"
         proj = self._interior_projection(axis)
         q = self.q
         pool = sorted(set(x[axis] for x in self.nodes if 0 < x[axis] < q))
@@ -499,18 +501,16 @@ class FractionSearch(discrepancy._Search):
         for v in pool + [q]:
             cut = Fraction(v, q)
             if v > 0:
-                self.spend()
                 hi = tuple(cut if k == axis else Fraction(1) for k in range(d))
                 body = AxisBox(zeros, hi, open=True)
                 inside = bisect_left(proj, v) - bisect_right(proj, 0)
-                self.record(body, Fraction(inside, self.n) - body_volume(body))
+                yield "axis_box", body, Fraction(inside, self.n) - body_volume(body)
             if v < q:
-                self.spend()
                 lo = tuple(cut if k == axis else Fraction(0) for k in range(d))
                 body = AxisBox(lo, ones, open=True)
                 inside = bisect_left(proj, q) - bisect_right(proj, v)
-                self.record(body, Fraction(inside, self.n) - body_volume(body))
+                yield "axis_box", body, Fraction(inside, self.n) - body_volume(body)
 
     def random_box(self):
-        self.phase = "random_box"
-        super().random_box()
+        num, den, make, args = super().random_box()
+        return "random_box", make(*args), Fraction(num, den)

@@ -246,7 +246,9 @@ class TestGeneratorSearchOutput:
 class TestCertifyVerifyOutput:
     """The certify and verify envelopes, pinned to the SHA-256 of the output
     printed while the estimator still had a certificate-less mode and the
-    sigma upper bound was computed separately by each command."""
+    sigma upper bound was computed separately by each command; the last two
+    pins were taken while the search still stopped its scans by raising an
+    exception at the end of the budget."""
 
     DIGESTS = {
         "certify --family fibonacci --m 13 --budget 2000 --seed 3":
@@ -259,6 +261,10 @@ class TestCertifyVerifyOutput:
             "0f8b43227c2da0f39610622361432a48011a57d36f555c44de760fb454647816",
         "verify --family korobov --n 101 --a 30 --d 3 --format csv":
             "8e4fcf3fc3be875c72f1ae98956f75e7a5a3027d3226901c98dd99f127876f34",
+        "certify --family fibonacci --m 8 --budget 1000000":
+            "cfa6308d83e2463920d4d05a4221d538c9b181abcb7e9c5d52a72dc49efb6259",
+        "certify --family scaled --m 16 --d 3 --budget 1000":
+            "540fd07b5c2ade422d0a9776951bb08c5b28565872cd1f1c94feda77faa58741",
     }
 
     @pytest.mark.parametrize("args", sorted(DIGESTS))
@@ -266,6 +272,13 @@ class TestCertifyVerifyOutput:
         code, out = run_cli(capsys, *args.split())
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == self.DIGESTS[args]
+
+    def test_duds_end_the_search_before_the_budget(self, capsys):
+        # 2000 random normals that are zero or already scanned end the
+        # random phase, so the pinned run above spends less than its budget
+        lat = ["--family", "fibonacci", "--m", "8"]
+        _, data = run_json(capsys, "certify", *lat, "--budget", "1000000")
+        assert data["result"]["estimate"]["evaluations"] < 1000000
 
     def test_one_sigma_upper_bound(self, capsys):
         lat = ["--family", "fibonacci", "--m", "10", "--digits", "60"]

@@ -291,7 +291,7 @@ class TestIntegerSearchMatchesReference:
     @staticmethod
     def _search(search_class, monkeypatch, pts, budget, seed, certificates):
         """Run the estimator on `search_class`, or with certificates None
-        the scan loop alone; return its search state, with `changes`
+        the candidate stream alone; return its search state, with `changes`
         listing every (body, best) that changed the incumbent or the
         witness list, in order."""
         made = []
@@ -311,7 +311,8 @@ class TestIntegerSearchMatchesReference:
         if certificates is None:
             # bare: the scans alone from a zero incumbent, axis normals only
             axes = [tuple(int(k == a) for k in range(pts.dim)) for a in range(pts.dim)]
-            discrepancy._run(Kept(pts, budget, seed), axes)
+            search = Kept(pts, seed)
+            search.evaluate(discrepancy._candidates(search, axes), budget)
         else:
             monkeypatch.setattr(discrepancy, "_Search", Kept)
             discrepancy.estimate_isotropic_discrepancy(
@@ -343,13 +344,13 @@ class TestIntegerSearchMatchesReference:
                 end += 1
             assert end - first >= 2, (phase, first, end)
             budget = (first + end + 1) // 2
-            # evaluation budget - 1 was spent in the loop, and the loop
-            # asked for one more
+            # the last evaluation and the first candidate left untaken are
+            # both from this loop
             assert phases[budget - 1] == phases[budget] == phase
             budgets.append(budget)
         for phase in ("slab", "axis_box", "random_box"):
-            # the previous loop spends the last unit, and the first spend
-            # of this phase stops the search
+            # the previous loop takes the last evaluation, and the first
+            # candidate of this phase is left untaken
             budget = phases.index(phase)
             assert phases[budget - 1] != phase
             budgets.append(budget)

@@ -1,6 +1,7 @@
 """Every public name resolves: `latdisc.__all__`, and the functions the
 benchmark's layer tracer (perfbench/layers.py) wraps by name; and every
-top-level definition in src/ is reachable from the commands."""
+top-level definition in src/, and every method of a top-level class, is
+reachable from the commands."""
 
 import ast
 import importlib
@@ -33,9 +34,17 @@ def test_traced_names_resolve():
     assert missing == []
 
 
+def _is_method(node):
+    """A non-dunder method, reached only through a mention of its name."""
+    return isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and not (
+        node.name.startswith("__") and node.name.endswith("__")
+    )
+
+
 def _top_level(src):
     """(module, name) -> the top-level def, class or assignment binding it,
-    and the other top-level statements, which run on import."""
+    and (module, "Class.method") -> each non-dunder method of a top-level
+    class; and the other top-level statements, which run on import."""
     defs, run = {}, []
     for path in sorted(src.glob("*.py")):
         if path.name == "__init__.py":
@@ -43,6 +52,9 @@ def _top_level(src):
         for node in ast.parse(path.read_text()).body:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 defs[path.stem, node.name] = node
+                if isinstance(node, ast.ClassDef):
+                    for item in filter(_is_method, node.body):
+                        defs[path.stem, f"{node.name}.{item.name}"] = item
             elif isinstance(node, (ast.Assign, ast.AnnAssign)):
                 targets = node.targets if isinstance(node, ast.Assign) else [node.target]
                 for target in targets:
@@ -54,24 +66,39 @@ def _top_level(src):
     return defs, run
 
 
+def _mentions(node):
+    """The Name and Attribute identifiers in `node`.  A class contributes
+    its bases, decorators, class-level statements and dunder methods; its
+    other methods are definitions of their own."""
+    parts = [node]
+    if isinstance(node, ast.ClassDef):
+        parts = [*node.bases, *node.keywords, *node.decorator_list]
+        parts += [item for item in node.body if not _is_method(item)]
+    for part in parts:
+        for sub in ast.walk(part):
+            if isinstance(sub, ast.Name):
+                yield sub.id
+            elif isinstance(sub, ast.Attribute):
+                yield sub.attr
+
+
 def test_src_reachable_from_commands():
-    # every top-level definition in src/ is reached from what the commands
-    # and the benchmark's tracer call, following the Name and Attribute
-    # identifiers each reached definition mentions (matched by name alone,
-    # so a name defined in two modules is reached in both)
+    # every top-level definition in src/, and every non-dunder method of a
+    # top-level class, is reached from what the commands and the
+    # benchmark's tracer call, following the Name and Attribute identifiers
+    # each reached definition mentions (matched by name alone, so a name
+    # defined in two places is reached in both)
     defs, run = _top_level(LAYERS.parents[1] / "src" / "latdisc")
     by_name = {}
     for key in defs:
-        by_name.setdefault(key[1], []).append(key)
+        by_name.setdefault(key[1].rpartition(".")[2], []).append(key)
     roots = [("cli", "main")] + [(m, fn) for m, fns in _traced().items() for fn in fns]
     reached = set(roots)
     todo = [defs[key] for key in roots] + run
     while todo:
-        for node in ast.walk(todo.pop()):
-            if isinstance(node, (ast.Name, ast.Attribute)):
-                name = node.id if isinstance(node, ast.Name) else node.attr
-                for key in by_name.get(name, ()):
-                    if key not in reached:
-                        reached.add(key)
-                        todo.append(defs[key])
+        for name in _mentions(todo.pop()):
+            for key in by_name.get(name, ()):
+                if key not in reached:
+                    reached.add(key)
+                    todo.append(defs[key])
     assert sorted(f"{m}.{name}" for m, name in defs.keys() - reached) == []

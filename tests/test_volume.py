@@ -197,6 +197,23 @@ class TestBodyVolume:
     def test_degenerate_box(self):
         assert volume.body_volume(AxisBox((F(1, 2),), (F(1, 2),), open=False)) == 0
 
+    @pytest.mark.parametrize("d", range(1, 7))
+    def test_slabs_beside_the_center_plane_have_equal_volume(self, d):
+        # x -> 1 - x maps the slab just below a plane through the cube's
+        # center onto the slab just above it, which slab_certificate takes
+        # without comparing the two
+        rng = random.Random(3000 + d)
+        checked = 0
+        while checked < 200:
+            normal = [rng.randint(-60, 60) for _ in range(d)]
+            if sum(normal) % 2 or not any(normal):
+                continue
+            k = sum(normal) // 2
+            assert volume.body_volume(Slab(normal, k - 1, k)) == (
+                volume.body_volume(Slab(normal, k, k + 1))
+            ), normal
+            checked += 1
+
 
 class TestContainsAndDiscrepancy:
     def test_open_vs_closed_boundary_points(self):
@@ -247,6 +264,9 @@ class TestContainsAndDiscrepancy:
             volume.count_inside(pts, body)
         with pytest.raises(InputError, match="dimension"):
             volume.local_discrepancy(pts, body)
+        for point in [(0, 0), ("3/4", "1/4")]:
+            with pytest.raises(InputError, match="dimension"):
+                volume.body_contains(body, point)
 
     @given(
         st.integers(2, 30),
