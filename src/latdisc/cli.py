@@ -13,7 +13,9 @@ Subcommands:
 Outputs are deterministic: the same arguments (including --seed) produce
 byte-identical bytes, so results can be diffed across runs and machines.
 JSON results are wrapped in an envelope recording tool version, subcommand,
-and effective parameters; construct emits the bare lattice document.
+and effective parameters; construct emits the bare lattice document.  The
+points CSV is joined by hand, not through csv.writer: each value is digits
+with at most one '/', so no value ever needs quoting.
 
 Exit codes: 0 success (for verify: every check passed), 2 malformed input,
 3 a configured cap was exceeded, 4 an invariant or verification check
@@ -31,6 +33,8 @@ import json
 import math
 import os
 import sys
+from itertools import repeat
+from operator import floordiv
 
 from . import __version__, bounds, constructions, directed, discrepancy
 from . import lattice as lattice_mod
@@ -287,32 +291,30 @@ def _cmd_spectral(args) -> int:
     return EXIT_OK
 
 
-def _point_strings(pts) -> list[tuple[str, ...]]:
-    """Each node's coordinates as str(Fraction) would print them, rendered
-    from the integer numerators with one gcd per distinct numerator."""
-    q = pts.denominator
-    text = {}
-    for x in set().union(*pts.columns):
-        g = math.gcd(x, q)
-        text[x] = str(x // g) if g == q else f"{x // g}/{q // g}"
-    return list(zip(*(map(text.__getitem__, column) for column in pts.columns)))
+def _numerator_texts(q: int) -> list[str]:
+    """str(Fraction(x, q)) for every numerator 0 <= x < q, entry x."""
+    xs = range(q)
+    gs = list(map(math.gcd, xs, repeat(q)))
+    texts = list(map("{}/{}".format, map(floordiv, xs, gs), map(q.__floordiv__, gs)))
+    texts[0] = "0"
+    return texts
 
 
 def _cmd_points(args) -> int:
     lat = _lattice_from_args(args)
     pts = lattice_mod.enumerate_points(lat, cap=args.cap)
-    rows = _point_strings(pts)
+    # q divides N, so the table is no larger than the node set
+    text = _numerator_texts(pts.denominator).__getitem__
+    rows = zip(*(map(text, column) for column in pts.columns))
     if args.format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow([f"x{i + 1}" for i in range(lat.dim)])
-        writer.writerows(rows)
-        _write_text(args, buf.getvalue())
+        header = ",".join(f"x{i + 1}" for i in range(lat.dim))
+        body = "\n".join(map(",".join, rows))
+        _write_text(args, f"{header}\n{body}\n")
         return EXIT_OK
     result = {
         "dim": lat.dim,
         "n_points": len(pts),
-        "points": rows,
+        "points": list(rows),
     }
     params = {"lattice": lat.spec_string(), "cap": args.cap}
     _emit_json(args, "points", params, result)

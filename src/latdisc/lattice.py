@@ -26,6 +26,7 @@ import json
 from array import array
 from fractions import Fraction
 from itertools import chain, count, islice, repeat
+from operator import sub
 from typing import Iterable, Iterator
 
 from . import linalg
@@ -194,13 +195,20 @@ def enumerate_points(
     """All lattice points in [0,1)^d, exactly, in deterministic order.
 
     Scales the HNF basis by q to integer rows: upper triangular, and each
-    pivot p_j divides q, since q e_j is in L.  Fixing coordinates left to
-    right turns 0 <= X < q into one run of q / p_j integers per level.  If
-    row 0 has pivot 1 and every later row is q e_j (a rank-1 rule with
-    g_0 = 1), node k is (k, k g_1 mod q, ...): the closed-form branch.
-    Otherwise the walk recurses down to the last level, whose runs fill the
-    last column.  Raises CapExceededError, before the walk, when the N nodes
-    are more than `cap` (a desk-scale limit, not a failure of the input).
+    pivot p_l divides q, since q e_l is in L.  If row 0 has pivot 1 and
+    every later row is q e_j (a rank-1 rule with g_0 = 1), node k is
+    (k, k g_1 mod q, ...): the closed-form branch.  Otherwise the walk
+    fixes one coordinate per level, breadth first, one column at a time.
+    Level l adds c times row l to each parent combination v; exactly
+    m = q / p_l values of c put X_l = v_l + c p_l in [0, q), so column j of
+    the children is one run of m values per parent, a range of step r_j
+    (row l's entry), or a repeat where r_j = 0.  Children follow their
+    parent in order of X_l, so the nodes come out in lex order of their
+    numerator vectors, as a depth-first walk would give them.  A parent's
+    subtree depends only on the coordinates it has fixed (q e_j is in qL),
+    so its later entries are kept reduced mod q, below q^2.  Raises
+    CapExceededError, before the walk, when the N nodes are more than `cap`
+    (a desk-scale limit, not a failure of the input).
     """
     if lattice.n_points > cap:
         raise CapExceededError(
@@ -214,30 +222,24 @@ def enumerate_points(
             (array("q", map(q.__rmod__, islice(count(0, g), q))) for g in rows[0]), q
         )
 
-    leaves = []  # the combinations of rows 0..d-2 that fix X_1..X_(d-1)
-
-    def walk(level: int, v: tuple[int, ...]):
-        # v = the fixed levels' combination of rows; its level-th entry is
-        # the base that 0 <= base + c * pivot < q (pivot > 0) bounds c around
-        row = rows[level]
-        pivot, base = row[level], v[level]
-        cs = range(-(base // pivot), (q - 1 - base) // pivot + 1)
-        children = (tuple(a + c * b for a, b in zip(v, row)) for c in cs)
-        if level < d - 2:  # d >= 2: at d = 1 the HNF is [[1/N]], closed form
-            for child in children:
-                walk(level + 1, child)
-        else:
-            leaves.extend(children)
-
-    walk(0, (0,) * d)
-    p = rows[-1][-1]  # each leaf's last level is the run range(base % p, q, p)
-    *heads, bases = zip(*leaves)
-    runs = map(range, map(p.__rmod__, bases), repeat(q), repeat(p))
-    return PointSet(
-        [array("q", chain.from_iterable(map(repeat, h, repeat(q // p)))) for h in heads]
-        + [array("q", chain.from_iterable(runs))],
-        q,
-    )
+    columns = [(0,)] * d  # one parent, the zero combination
+    for level, row in enumerate(rows):
+        pivot = row[level]
+        m = q // pivot
+        # the first child adds c0 = -(v_l // pivot) times the row
+        shifts = list(map(pivot.__rfloordiv__, columns[level]))
+        children = []
+        for j, (column, r) in enumerate(zip(columns, row)):
+            if j == level:
+                runs = map(range, map(pivot.__rmod__, column), repeat(q), repeat(pivot))
+            elif r == 0:  # every j < level, and zeros above later pivots
+                runs = map(repeat, column, repeat(m))
+            else:
+                starts = list(map(q.__rmod__, map(sub, column, map(r.__mul__, shifts))))
+                runs = map(range, starts, map((m * r).__add__, starts), repeat(r))
+            children.append(array("q", chain.from_iterable(runs)))
+        columns = children
+    return PointSet(columns, q)
 
 
 def to_json(lattice: IntegrationLattice) -> str:
@@ -287,7 +289,9 @@ def from_json(text: str) -> IntegrationLattice:
         return from_rank1(n, g)
     if kind == "basis":
         rows = payload.get("basis")
-        if not isinstance(rows, list) or len(rows) != dim:
+        if not isinstance(rows, list) or len(rows) != dim or not all(
+            isinstance(row, list) and len(row) == dim for row in rows
+        ):
             raise InputError("basis JSON needs a d x d 'basis' array")
         lattice = from_basis(rows)
         stated_n = payload.get("n")

@@ -115,6 +115,33 @@ class TestPoints:
         assert code == 3
 
 
+class TestPointsOutput:
+    """The node set as printed, pinned to the SHA-256 of the output printed
+    while the general HNF walk recursed depth first and each node's text
+    was looked up in a dict of its distinct numerators: the rank-1 closed
+    form with q = N, the general walk with q = 90 < N = 4050, a grid, a
+    d = 4 Korobov rule and a rank-1 rule whose g_0 is not 1."""
+
+    DIGESTS = {
+        "points --family fibonacci --m 21 --format csv":
+            "3e0e005100afdbbfe61936b1f7d2e6115fda0af868b0b53adb5415f3d30c35de",
+        "points --family bad --m 45 --d 3 --format csv":
+            "4bfded6a3f5f2736c8df5f1ac3f4af8dd5bdb069416a75ccbb984b6edb639d8a",
+        "points --family scaled --m 16 --d 3":
+            "7c058778869240bd50e99575640c646a382a19a2cfccf710118b0f633ef6977f",
+        "points --family korobov --n 1009 --a 76 --d 4 --format csv":
+            "c209503852ba6febd06922d34eb844ea87bab6367255ad3cb8a1d94369530c92",
+        "points --n 60 --generator 4,10,6":
+            "a2d54a4b419c0626dfed517afd6da609f980086b8c341ddd44d21219dd328c9b",
+    }
+
+    @pytest.mark.parametrize("args", sorted(DIGESTS))
+    def test_output_unchanged(self, capsys, args):
+        code, out = run_cli(capsys, *args.split())
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == self.DIGESTS[args]
+
+
 class TestCertify:
     def test_certificates_present(self, capsys):
         code, data = run_json(
@@ -436,6 +463,21 @@ class TestErrorPaths:
         assert cli.main(["spectral", "--in", str(path)]) == 2
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("latdisc: input error:")
+
+    @pytest.mark.parametrize(
+        "rows", [[None, None], [1, 2], ["10", "01"], [{"1": 0}, {"0": 1}]],
+        ids=["null", "number", "string", "object"],
+    )
+    def test_basis_rows_not_arrays_exit_2(self, capsys, tmp_path, rows):
+        # a string row once split into digits: ["10", "01"] read as I_2
+        path = tmp_path / "rows.json"
+        path.write_text(json.dumps({"dim": 2, "kind": "basis", "basis": rows}))
+        assert cli.main(["spectral", "--in", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "latdisc: input error: basis JSON needs a d x d 'basis' array"
+        ]
 
     @pytest.mark.parametrize(
         "args",

@@ -7,7 +7,8 @@ rank-1 rules with gcd > 1 and g[0] != 1, re-presented bases, lattices
 given by an arbitrary integer dual basis, and bodies whose offsets and
 corners sit exactly on node values, open and closed.  Both branches of the
 node walk, the closed-form rank-1 columns and the general HNF walk, must
-give the Fraction walk's nodes in its order.
+give the Fraction walk's nodes in its order, and the text `points` prints
+for each numerator must be the Fraction's.
 """
 
 from array import array
@@ -19,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from latdisc import constructions, lattice, linalg, volume
+from latdisc import cli, constructions, lattice, linalg, volume
 from latdisc.volume import AxisBox, Halfspace, Slab
 
 F = Fraction
@@ -79,7 +80,7 @@ def _closed_form_shape(lat):
 
 @st.composite
 def rank1_rules(draw):
-    d = draw(st.integers(1, 3))
+    d = draw(st.integers(1, 5))
     n = draw(st.integers(1, 60))
     g = draw(st.lists(st.integers(0, 2 * n), min_size=d, max_size=d))
     return lattice.from_rank1(n, g)
@@ -109,11 +110,14 @@ def represented_rules(draw):
 @st.composite
 def dual_spanned(draw):
     """The integration lattice whose dual is spanned by a random integer
-    basis: its basis is the inverse transpose of that one."""
-    d = draw(st.integers(1, 3))
+    basis: its basis is the inverse transpose of that one.  Entries bounded
+    by k keep N = |det| <= (k sqrt(d))^d (Hadamard) under CAP: 1296 at
+    d = 4 with k = 3, and 1789 at d = 5 with k = 2."""
+    d = draw(st.integers(1, 5))
+    k = 3 if d <= 4 else 2
     m = draw(
         st.lists(
-            st.lists(st.integers(-3, 3), min_size=d, max_size=d),
+            st.lists(st.integers(-k, k), min_size=d, max_size=d),
             min_size=d,
             max_size=d,
         ).filter(lambda m: linalg.det(linalg.RationalMatrix(m)) != 0)
@@ -208,9 +212,31 @@ class TestWalkBranches:
             constructions.bad_lattice(5, 3),
             constructions.bad_lattice(4),
             constructions.scaled_integer_lattice(4, 3),
+            constructions.bad_lattice(3, 5),
+            # one level has a single child (q / p = 1), all rows diagonal
+            lattice.from_basis([[1, 0], [0, F(1, 2)]]),
+            lattice.from_basis([[F(1, 2), 0, 0], [0, 1, 0], [0, 0, F(1, 3)]]),
+            # the same, under nonzero off-diagonal entries: scaled rows
+            # [[1, 2, 3], [0, 3, 3], [0, 0, 6]], and [[3, 0, 6], [0, 4, 0],
+            # [0, 0, 12]] with a zero above one later pivot
+            lattice.from_basis(
+                [[F(1, 6), F(1, 3), F(1, 2)], [0, F(1, 2), F(1, 2)], [0, 0, 1]]
+            ),
+            lattice.from_rank1(12, (3, 4, 6)),
         ],
-        ids=["g0-12-2", "g0-30-6", "bad-3d", "bad-2d", "grid-3d"],
+        ids=[
+            "g0-12-2", "g0-30-6", "bad-3d", "bad-2d", "grid-3d", "bad-5d",
+            "single-child-first", "single-child-middle", "single-child-last",
+            "single-child-zero-above",
+        ],
     )
     def test_general_walk(self, lat):
         assert not _closed_form_shape(lat)
         _assert_matches_fraction_walk(lattice.enumerate_points(lat), lat)
+
+
+class TestNumeratorTexts:
+    @pytest.mark.parametrize("q", [1, 2, 90, 97, 10946])
+    def test_each_text_is_the_fraction(self, q):
+        texts = cli._numerator_texts(q)
+        assert texts == [str(F(x, q)) for x in range(q)]
