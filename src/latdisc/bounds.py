@@ -188,8 +188,8 @@ def verify_lattice(
     spectral = reduction.spectral_test(lat, digits=digits, svp_cap=svp_cap)
     lam_sq = spectral.shortest_dual_norm_sq
     pts = lattice_mod.enumerate_points(lat, cap=enum_cap)
-    slab = discrepancy.slab_certificate(lat, pts, spectral)
     planes = discrepancy.hyperplane_count_certificate(lat, pts, spectral)
+    slab = discrepancy.slab_certificate(planes)
     certified = max(slab.implied_lower_bound, planes.implied_lower_bound)
 
     gamma = gamma_half_integer(d + 2)

@@ -326,8 +326,8 @@ def _cmd_certify(args) -> int:
     digits = _digits_for(args)
     pts = lattice_mod.enumerate_points(lat, cap=args.cap)
     spectral = reduction.spectral_test(lat, svp_cap=args.svp_cap)
-    slab = discrepancy.slab_certificate(lat, pts, spectral)
     planes = discrepancy.hyperplane_count_certificate(lat, pts, spectral)
+    slab = discrepancy.slab_certificate(planes)
     estimate = discrepancy.estimate_isotropic_discrepancy(
         pts, (slab, planes), budget=args.budget, seed=args.seed, digits=digits
     )

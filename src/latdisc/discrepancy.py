@@ -14,10 +14,11 @@ it; instead it produces
   (halfspaces, slabs, and axis boxes at point-induced critical offsets) and
   keeps the best exactly-verified witness.
 
-Both certificates rest on one lattice fact, the shortest dual vector h
-behind sigma(L), so they take the caller's node set and spectral test
-rather than computing their own, and the estimator takes the finished
-certificates.
+Both certificates rest on one lattice fact: every node lies on a plane
+<h, x> in Z of the shortest dual vector h behind sigma(L).  The plane
+certificate counts the caller's nodes on those planes in one pass; the slab
+certificate reads its empty slab off the counts, and the estimator, which
+takes the finished certificates, starts its scan of h from them.
 
 Every quantity reported as a bound is an exact Fraction backed by a witness
 body; the estimator re-verifies each winning witness with a literal pass
@@ -60,11 +61,12 @@ _RANDOM_NORMAL_RANGE = 10
 class SlabCertificate:
     """An empty open slab between two adjacent occupied dual hyperplanes.
 
-    Every node satisfies <normal, x> in Z, so the open slab between the
-    planes k0 and k0 + 1 contains no node at all; its volume is therefore a
-    certified lower bound on J_N (|0/N - vol| = vol).  The slab is chosen to
-    contain the cube center when possible, and the neighbor just above the
-    center plane otherwise (the one just below has the same volume).
+    Every node satisfies <normal, x> in Z, so no node (and no occupied plane
+    of the plane certificate) lies in the open slab between the planes k0
+    and k0 + 1; its volume is therefore a certified lower bound on J_N
+    (|0/N - vol| = vol).  The slab is chosen to contain the cube center when
+    possible, and the neighbor just above the center plane otherwise (the
+    one just below has the same volume).
     """
 
     body: Slab
@@ -90,7 +92,8 @@ class HyperplaneCountCertificate:
     volume zero holding max_count points, so max_count/N is a certified
     lower bound on J_N.  The pigeonhole inequality
     (max_count/N)^2 * d >= sigma^2 is re-verified exactly, as is the bound
-    floor(sqrt(d)/sigma) + 1 on the number of occupied planes.
+    floor(sqrt(d)/sigma) + 1 on the number of occupied planes.  The slab
+    certificate and the estimator's first scan read these counts.
     """
 
     normal: tuple
@@ -116,29 +119,19 @@ class HyperplaneCountCertificate:
         }
 
 
-def _points_for(lat: IntegrationLattice, points: PointSet) -> PointSet:
-    if len(points) != lat.n_points:
-        raise InputError("point set does not match the lattice node count")
-    return points
-
-
-def slab_certificate(
-    lat: IntegrationLattice,
-    points: PointSet,
-    spectral: reduction.SpectralResult,
-) -> SlabCertificate:
+def slab_certificate(planes: HyperplaneCountCertificate) -> SlabCertificate:
     """Certified empty-slab lower bound on J_N; see SlabCertificate.
 
-    `points` are the nodes of `lat` and `spectral` its spectral test; the
-    slab's emptiness is checked against every node."""
-    pts = _points_for(lat, points)
-    normal = spectral.shortest_dual_vector
+    `planes` is the plane certificate of the node set, whose counts were
+    checked against every node: the slab is empty when no occupied plane
+    lies strictly between its lo and hi."""
+    normal = planes.normal
     # the slab holding the cube's center, or the one just above the plane
     # through it: x -> 1 - x maps the slab just below that plane onto this
     # one, so neither is larger
     k = sum(normal) // 2
     slab = Slab(normal, k, k + 1, open=True)
-    inside = volume.count_inside(pts, slab)
+    inside = sum(c for j, c in planes.plane_counts if slab.lo < j < slab.hi)
     if inside != 0:
         raise InvariantViolationError(
             f"slab {slab} between adjacent dual planes contains {inside} nodes"
@@ -148,7 +141,7 @@ def slab_certificate(
         raise InvariantViolationError("degenerate empty slab of zero volume")
     return SlabCertificate(
         body=slab,
-        n_points_checked=len(pts),
+        n_points_checked=planes.n_points,
         volume=vol,
         implied_lower_bound=vol,
     )
@@ -163,15 +156,15 @@ def hyperplane_count_certificate(
 
     `points` are the nodes of `lat` and `spectral` its spectral test; every
     node's plane value is checked to be an integer."""
-    pts = _points_for(lat, points)
-    normal, q = spectral.shortest_dual_vector, pts.denominator
-    counts = Counter(pts.products(normal))  # by <normal, X> = q * plane value
+    if len(points) != lat.n_points:
+        raise InputError("point set does not match the lattice node count")
+    normal, q, n = spectral.shortest_dual_vector, points.denominator, len(points)
+    counts = Counter(points.products(normal))  # by <normal, X> = q * plane value
     if any(v % q for v in counts):
         raise InvariantViolationError(
             f"a node has non-integer product with dual vector {normal}"
         )
     counts = Counter({v // q: c for v, c in counts.items()})
-    n = len(pts)
     if sum(counts.values()) != n:
         raise InvariantViolationError("plane counts do not add up to N")
     max_count = max(counts.values())
@@ -263,7 +256,8 @@ class _Search:
     budget, so a scan the budget never reaches does no setup work, and
     `record` sees exactly the bodies and values a body-by-body search would
     have recorded.  Per-node passes read the node set's numerator columns:
-    one products stream per direction, and one column per axis."""
+    one products stream per direction not given its counts, and one column
+    per axis."""
 
     def __init__(self, points: PointSet, seed: int):
         self.points, self.q = points, points.denominator
@@ -304,9 +298,10 @@ class _Search:
     def _slab(self, direction, lo: int, hi: int) -> Slab:
         return Slab(direction, Fraction(lo, self.q), Fraction(hi, self.q), open=True)
 
-    def scan_normal(self, direction: tuple[int, ...]):
+    def scan_normal(self, direction: tuple[int, ...], counts: Counter | None = None):
         """The halfspaces and gap slabs of one normal direction at all
-        point-induced critical offsets.
+        point-induced critical offsets, from `counts` of <direction, X> over
+        the nodes when given, else from a products pass.
 
         A candidate's discrepancy is (count * den - N * num(v)) / (N * den),
         with num(v) / den its volume from one CubeSection per direction; a
@@ -316,7 +311,8 @@ class _Search:
         if direction in self.scanned:
             return
         self.scanned.add(direction)
-        counts = Counter(self.points.products(direction))
+        if counts is None:
+            counts = Counter(self.points.products(direction))
         unique = sorted(counts)
         n = self.n
         section = volume.CubeSection(direction, self.q)
@@ -411,12 +407,13 @@ class _Search:
         return _primitive_direction(raw)
 
 
-def _candidates(search: _Search, normals: list[tuple[int, ...]]):
+def _candidates(search: _Search, normals: list[tuple[int, ...]], counts: Counter):
     """The search's candidate stream: the halfspaces and slabs of `normals`
-    in order, then the axis-box families, then seeded random normals and
-    random boxes until 2000 random normals were zero or already scanned."""
+    in order (the first from its node `counts`), the axis-box families, then
+    seeded random normals and random boxes until 2000 were zero or scanned."""
     for direction in normals:
-        yield from search.scan_normal(direction)
+        yield from search.scan_normal(direction, counts)
+        counts = None
     for axis in range(search.dim):
         yield from search.scan_axis_boxes(axis)
     duds = 0
@@ -442,7 +439,8 @@ def estimate_isotropic_discrepancy(
     search is deterministic given (points, certificates, budget, seed).  It
     always starts with the mandatory candidates: both certificate witness
     bodies enter budget-free after a literal re-check against `points`, and
-    the planes' normal heads the normal list.  The candidate stream then
+    the planes' normal heads the normal list, scanned from the planes' counts
+    (InputError if those are not counts of N nodes).  The candidate stream then
     runs the halfspaces and slabs of those normals and the axis directions,
     the axis-box families at point-induced critical offsets, and finally
     seeded random integer normals in [-10, 10]^d and random boxes, until
@@ -454,11 +452,13 @@ def estimate_isotropic_discrepancy(
     """
     if budget < 0:
         raise InputError("budget must be nonnegative")
-    if len(points) == 0:
+    n, d = len(points), points.dim
+    if n == 0:
         raise InputError("empty point set")
-    search = _Search(points, seed)
-    d = points.dim
     slab_cert, plane_cert = certificates
+    if plane_cert.n_points != n or sum(c for _, c in plane_cert.plane_counts) != n:
+        raise InputError("the certificates were not built for this node set")
+    search = _Search(points, seed)
     for body, bound in (
         (slab_cert.body, slab_cert.implied_lower_bound),
         (plane_cert.witness_body, plane_cert.implied_lower_bound),
@@ -471,11 +471,15 @@ def estimate_isotropic_discrepancy(
         search.record(body, delta)
     upper_sq, upper_decimal = sigma_upper_bound(d, plane_cert.sigma_sq, digits)
 
-    # the planes' normal is a nonzero shortest dual vector, then the axes
-    normals = [_primitive_direction(plane_cert.normal)]
+    # the planes' normal h is a nonzero shortest dual vector, then the axes;
+    # h = s * (h/s) with s = +-gcd(h), so <h/s, X> = k q / s on the plane k
+    h = plane_cert.normal
+    normals = [_primitive_direction(h)]
+    s = next(a // b for a, b in zip(h, normals[0]) if b)
+    counts = Counter({k * search.q // s: c for k, c in plane_cert.plane_counts})
     normals += [tuple(int(k == axis) for k in range(d)) for axis in range(d)]
 
-    search.evaluate(_candidates(search, normals), budget)
+    search.evaluate(_candidates(search, normals, counts), budget)
 
     for body in search.witnesses:
         if abs(volume.local_discrepancy(points, body)) != search.best:
@@ -491,6 +495,6 @@ def estimate_isotropic_discrepancy(
         evaluations=search.evaluations,
         budget=budget,
         seed=seed,
-        n_points=len(points),
+        n_points=n,
         dim=d,
     )

@@ -27,7 +27,7 @@ from array import array
 from fractions import Fraction
 from itertools import chain, count, islice, repeat
 from operator import sub
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from . import linalg
 from .errors import (
@@ -107,11 +107,14 @@ class PointSet:
     def __repr__(self):
         return f"PointSet(n={len(self)}, dim={self.dim})"
 
-    def products(self, a) -> Iterator[int]:
-        """<a, X> for every numerator vector X, in node order, as a stream:
-        summed one column at a time, skipping zero coefficients, over blocks
-        of _BLOCK nodes, so no list of all N products is ever alive."""
+    def products(self, a) -> Iterable[int]:
+        """<a, X> for every numerator vector X, in node order: the column
+        itself for a unit vector a, else a stream summed one column at a
+        time, skipping zero coefficients, over blocks of _BLOCK nodes, so no
+        list of all N products is ever alive."""
         (c0, col0), *terms = [(c, col) for c, col in zip(a, self.columns) if c]
+        if c0 == 1 and not terms:
+            return col0
 
         def blocks():
             for lo in range(0, len(self), _BLOCK):

@@ -459,7 +459,8 @@ class FractionSearch(discrepancy._Search):
             self.phases.append(phase)
             self.record(body, delta)
 
-    def scan_normal(self, direction):
+    def scan_normal(self, direction, counts=None):
+        # the node counts along the direction are recounted from the nodes
         if direction in self.scanned:
             return
         self.scanned.add(direction)

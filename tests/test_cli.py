@@ -7,11 +7,13 @@ import os
 import subprocess
 import sys
 from collections import Counter
+from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
 import latdisc
-from latdisc import __version__, cli, directed, lattice, reduction
+from latdisc import __version__, cli, directed, lattice, reduction, volume
 
 
 def run_cli(capsys, *args):
@@ -343,6 +345,73 @@ class TestLatticeFactsOnce:
             monkeypatch.setattr(module, name, counting)
         assert cli.main([command, *lat]) == 0
         assert calls == {"spectral_test": 1, "dual": 1, "enumerate_points": 1}
+
+
+class TestOnePlanePass:
+    """One products pass along the shortest dual vector h per command: the
+    plane certificate's counts prove the empty slab and start the search's
+    scan of h/gcd(h).  The estimator still re-checks both certificate bodies
+    and every witness with a literal pass over all N nodes."""
+
+    LATTICES = {
+        "fibonacci13": ["--family", "fibonacci", "--m", "13"],  # h = (8, -13)
+        "fibonacci12": ["--family", "fibonacci", "--m", "12"],  # h = (8, 8)
+        "scaled3d": ["--family", "scaled", "--m", "4", "--d", "3"],  # (0, 0, 4)
+    }
+
+    @staticmethod
+    def _spy(monkeypatch):
+        """Record the coefficients of every products stream and the body of
+        every literal local_discrepancy pass."""
+        streams, checked = [], []
+        products, local = lattice.PointSet.products, volume.local_discrepancy
+
+        def counting_products(self, a):
+            streams.append(tuple(a))
+            return products(self, a)
+
+        def counting_local(points, body):
+            checked.append(volume.body_to_dict(body))
+            return local(points, body)
+
+        monkeypatch.setattr(lattice.PointSet, "products", counting_products)
+        monkeypatch.setattr(volume, "local_discrepancy", counting_local)
+        return streams, checked
+
+    @staticmethod
+    def _along(vectors, h):
+        """The vectors among `vectors` that are multiples of h."""
+        return [
+            a for a in vectors
+            if all(a[i] * h[j] == a[j] * h[i] for i, j in combinations(range(len(h)), 2))
+        ]
+
+    @pytest.mark.parametrize("lat", sorted(LATTICES))
+    def test_verify_streams_h_once(self, capsys, monkeypatch, lat):
+        streams, _ = self._spy(monkeypatch)
+        code, data = run_json(capsys, "verify", *self.LATTICES[lat])
+        h = tuple(int(x) for x in data["result"]["plane_certificate"]["normal"])
+        assert code == 0
+        assert streams == [h]
+
+    @pytest.mark.parametrize("lat", sorted(LATTICES))
+    def test_certify_streams_h_once_plus_literal_checks(self, capsys, monkeypatch, lat):
+        streams, checked = self._spy(monkeypatch)
+        code, data = run_json(capsys, "certify", *self.LATTICES[lat], "--budget", "2000")
+        result = data["result"]
+        h = tuple(int(x) for x in result["plane_certificate"]["normal"])
+        witnesses = result["estimate"]["witnesses"]
+        witness_normals = [
+            tuple(Fraction(x) for x in w["normal"]) for w in witnesses if "normal" in w
+        ]
+        assert code == 0
+        # the plane pass, the two certificate re-checks, one pass per witness
+        assert len(self._along(streams, h)) == 3 + len(self._along(witness_normals, h))
+        assert checked[:2] == [
+            result["slab_certificate"]["body"],
+            result["plane_certificate"]["witness_body"],
+        ]
+        assert sorted(checked[-len(witnesses):], key=json.dumps) == witnesses
 
 
 class TestSearch:

@@ -96,9 +96,10 @@ class TestBadLattice:
 
         for m in (2, 5, 20):
             lat = constructions.bad_lattice(m)
-            cert = discrepancy.slab_certificate(
+            planes = discrepancy.hyperplane_count_certificate(
                 lat, lattice.enumerate_points(lat), reduction.spectral_test(lat)
             )
+            cert = discrepancy.slab_certificate(planes)
             assert cert.implied_lower_bound >= F(1, 2)
 
 

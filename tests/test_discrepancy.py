@@ -1,6 +1,8 @@
 """Certified lower bounds and the budgeted discrepancy search."""
 
+import dataclasses
 import json
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -24,11 +26,15 @@ def _facts(lat):
 
 def _certificates(lat, pts):
     """The (slab, planes) pair the estimator takes, built on `pts`."""
-    spectral = reduction.spectral_test(lat)
-    return (
-        discrepancy.slab_certificate(lat, pts, spectral),
-        discrepancy.hyperplane_count_certificate(lat, pts, spectral),
+    planes = discrepancy.hyperplane_count_certificate(
+        lat, pts, reduction.spectral_test(lat)
     )
+    return discrepancy.slab_certificate(planes), planes
+
+
+def _slab(lat):
+    """The slab certificate of the lattice's own nodes."""
+    return _certificates(lat, lattice.enumerate_points(lat))[0]
 
 
 def _replace_node(pts, point):
@@ -47,7 +53,7 @@ def _off_family_set(lat, pts):
 
 
 def _in_slab_set(lat, pts):
-    slab = discrepancy.slab_certificate(lat, pts, reduction.spectral_test(lat)).body
+    slab = _certificates(lat, pts)[0].body
     m = 4 * len(pts)
     point = next(
         (F(i, m), F(j, m))
@@ -76,7 +82,12 @@ class TestLiteralRecheck:
         lat, pts = _rule(21, (1, 13))
         bad = _in_slab_set(lat, pts)
         with pytest.raises(InvariantViolationError):
-            discrepancy.slab_certificate(lat, bad, reduction.spectral_test(lat))
+            # the node inside the slab is off the planes the slab is read from
+            discrepancy.slab_certificate(
+                discrepancy.hyperplane_count_certificate(
+                    lat, bad, reduction.spectral_test(lat)
+                )
+            )
         # certificates built on the good nodes: the estimator's own literal
         # re-check against the bad nodes must raise
         certificates = _certificates(lat, pts)
@@ -87,14 +98,26 @@ class TestLiteralRecheck:
         lat, pts = _rule(21, (1, 13))
         same = oracles.point_set(oracles.nodes(pts), 2)
         spectral = reduction.spectral_test(lat)
-        discrepancy.hyperplane_count_certificate(lat, same, spectral)
-        discrepancy.slab_certificate(lat, same, spectral)
+        discrepancy.slab_certificate(
+            discrepancy.hyperplane_count_certificate(lat, same, spectral)
+        )
+
+    def test_slab_certificate_rejects_occupied_plane_inside(self):
+        # a forged plane count with an occupied plane strictly inside the slab
+        lat, pts = _rule(21, (1, 13))
+        planes = _certificates(lat, pts)[1]
+        k = sum(planes.normal) // 2
+        forged = dataclasses.replace(
+            planes, plane_counts=planes.plane_counts + ((k + F(1, 2), 1),)
+        )
+        with pytest.raises(InvariantViolationError):
+            discrepancy.slab_certificate(forged)
 
 
 class TestSlabCertificate:
     def test_frozen_small_rule(self):
         lat, pts = _rule(5, (1, 3))
-        cert = discrepancy.slab_certificate(lat, pts, reduction.spectral_test(lat))
+        cert = _slab(lat)
         assert cert.body == volume.Slab((1, -2), -1, 0)
         assert cert.volume == F(1, 2)
         assert cert.implied_lower_bound == F(1, 2)
@@ -104,20 +127,20 @@ class TestSlabCertificate:
 
     def test_integer_lattice_gets_full_gap(self):
         z2 = lattice.from_basis([[1, 0], [0, 1]])
-        cert = discrepancy.slab_certificate(*_facts(z2))
+        cert = _slab(z2)
         assert cert.volume == 1
         assert cert.implied_lower_bound == 1
 
     def test_halved_axis_lattice_exposes_coordinate_gap(self):
         # all nodes lie on y = 0, so the whole open strip above is empty
         lat = lattice.from_basis([[F(1, 2), 0], [0, 1]])
-        cert = discrepancy.slab_certificate(*_facts(lat))
+        cert = _slab(lat)
         assert cert.body == volume.Slab((0, 1), 0, 1)
         assert cert.implied_lower_bound == 1
 
     def test_halved_grid(self):
         lat = lattice.from_basis([[F(1, 2), 0], [0, F(1, 2)]])
-        cert = discrepancy.slab_certificate(*_facts(lat))
+        cert = _slab(lat)
         assert cert.volume == F(1, 2)
         assert cert.implied_lower_bound == F(1, 2)
         pts = lattice.enumerate_points(lat)
@@ -125,7 +148,7 @@ class TestSlabCertificate:
 
     def test_dict_round_trips_body(self):
         lat, _ = _rule(5, (1, 3))
-        data = discrepancy.slab_certificate(*_facts(lat)).to_dict()
+        data = _slab(lat).to_dict()
         assert data["certificate"] == "empty_slab"
         assert data["body"] == volume.body_to_dict(volume.Slab((1, -2), -1, 0))
         json.dumps(data)  # JSON-safe
@@ -248,6 +271,19 @@ class TestEstimate:
                 oracles.point_set([], 2), _certificates(lat, pts), budget=10, seed=0
             )
 
+    def test_certificates_of_another_node_set_rejected(self):
+        # the first scan trusts the plane counts, so they must count these N
+        lat, pts = _rule(21, (1, 13))
+        other = _rule(34, (1, 21))
+        with pytest.raises(InputError):
+            discrepancy.estimate_isotropic_discrepancy(
+                pts, _certificates(*other), budget=10
+            )
+        slab, planes = _certificates(lat, pts)
+        short = dataclasses.replace(planes, plane_counts=planes.plane_counts[1:])
+        with pytest.raises(InputError):
+            discrepancy.estimate_isotropic_discrepancy(pts, (slab, short), budget=10)
+
     def test_dict_shape(self):
         lat, pts = _rule(5, (1, 3))
         est = discrepancy.estimate_isotropic_discrepancy(
@@ -269,13 +305,53 @@ class TestEstimate:
         assert data["witnesses"] == [volume.body_to_dict(w) for w in est.witnesses]
 
 
+class TestSeededFirstScan:
+    """The scan of the planes' primitive normal h/g starts from the plane
+    certificate's counts: the same counts, and so the same candidates, as a
+    fresh products pass along h/g, whether or not h is primitive."""
+
+    LATTICES = {
+        "fibonacci13": lambda: constructions.fibonacci_lattice(13),  # (8, -13)
+        "fibonacci12": lambda: constructions.fibonacci_lattice(12),  # (8, 8)
+        "scaled4_d3": lambda: constructions.scaled_integer_lattice(4, 3),
+        "bad5_d3": lambda: constructions.bad_lattice(5, 3),
+    }
+
+    @pytest.mark.parametrize("name", sorted(LATTICES))
+    def test_seeded_scan_equals_fresh_scan(self, monkeypatch, name):
+        lat = self.LATTICES[name]()
+        pts = lattice.enumerate_points(lat)
+        certificates = _certificates(lat, pts)
+        scan = discrepancy._Search.scan_normal
+        seeded = []
+
+        def spy(self, direction, counts=None):
+            if counts is not None:
+                seeded.append((direction, counts))
+            return scan(self, direction, counts)
+
+        monkeypatch.setattr(discrepancy._Search, "scan_normal", spy)
+        discrepancy.estimate_isotropic_discrepancy(pts, certificates, budget=1)
+        ((direction, counts),) = seeded
+        assert direction == discrepancy._primitive_direction(certificates[1].normal)
+        assert counts == Counter(pts.products(direction))
+
+        def candidates(counts):
+            stream = scan(discrepancy._Search(pts, 0), direction, counts)
+            return [(num, den, make.__name__, args) for num, den, make, args in stream]
+
+        assert candidates(counts) == candidates(None)
+
+
 class TestIntegerSearchMatchesReference:
     """The integer scans against oracles.FractionSearch, which builds every
     candidate body and its Fraction discrepancy: the same incumbent, the
     same witnesses in the same order and the same evaluation count, for
     budgets that run out inside the halfspace, slab and axis-box loops or
     just as the slab, axis-box and random-box phases begin, and the same
-    sequence of changes to the incumbent and its ties on the way."""
+    sequence of changes to the incumbent and its ties on the way.  The
+    reference recounts the first normal's nodes where the estimator starts
+    from the plane counts."""
 
     LATTICES = {
         "fibonacci55": lambda: lattice.from_rank1(55, (1, 34)),
@@ -312,7 +388,7 @@ class TestIntegerSearchMatchesReference:
             # bare: the scans alone from a zero incumbent, axis normals only
             axes = [tuple(int(k == a) for k in range(pts.dim)) for a in range(pts.dim)]
             search = Kept(pts, seed)
-            search.evaluate(discrepancy._candidates(search, axes), budget)
+            search.evaluate(discrepancy._candidates(search, axes, None), budget)
         else:
             monkeypatch.setattr(discrepancy, "_Search", Kept)
             discrepancy.estimate_isotropic_discrepancy(
