@@ -72,7 +72,6 @@ from .bounds import (
     gamma_half_integer,
     minkowski_sigma_check,
     verify_lattice,
-    write_reports_csv,
 )
 from .directed import Bounds, decimal_str, pi_bounds, sqrt_bounds
 
@@ -139,7 +138,6 @@ __all__ = [
     "minkowski_sigma_check",
     "BoundsReport",
     "verify_lattice",
-    "write_reports_csv",
     # directed arithmetic
     "Bounds",
     "sqrt_bounds",

@@ -24,7 +24,6 @@ coefficients above are certified here (see DIMENSION_FREE_NOTE).
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial
@@ -240,31 +239,3 @@ def verify_lattice(
         plane_certificate=planes,
     )
 
-
-REPORT_COLUMNS = [
-    "name",
-    "dim",
-    "n_points",
-    "sigma_sq",
-    "sigma",
-    "minkowski_sigma_lb",
-    "jn_upper",
-    "certified_jn_lb",
-    "certified_jn_lb_decimal",
-    "verdict",
-]
-
-
-def report_row(report: BoundsReport) -> list[str]:
-    failed = sorted(k for k, ok in report.checks.items() if not ok)
-    verdict = "pass" if not failed else "fail:" + ",".join(failed)
-    cells = report.to_dict()
-    return [str(cells[k]) for k in REPORT_COLUMNS[:-1]] + [verdict]
-
-
-def write_reports_csv(reports, fileobj) -> None:
-    """Write one CSV row per report, with a fixed, stable column order."""
-    writer = csv.writer(fileobj, lineterminator="\n")
-    writer.writerow(REPORT_COLUMNS)
-    for report in reports:
-        writer.writerow(report_row(report))

@@ -13,9 +13,12 @@ Subcommands:
 Outputs are deterministic: the same arguments (including --seed) produce
 byte-identical bytes, so results can be diffed across runs and machines.
 JSON results are wrapped in an envelope recording tool version, subcommand,
-and effective parameters; construct emits the bare lattice document.  The
-points CSV is joined by hand, not through csv.writer: each value is digits
-with at most one '/', so no value ever needs quoting.
+and effective parameters; construct emits the bare lattice document.
+points, search and verify also write CSV (--format csv), a header and rows.
+The points CSV is joined by hand, not through csv.writer: each value is
+digits with at most one '/', so no value ever needs quoting.  search and
+verify write one row through _write_csv, since a verify name can hold
+commas and quotes.
 
 Exit codes: 0 success (for verify: every check passed), 2 malformed input,
 3 a configured cap was exceeded, 4 an invariant or verification check
@@ -78,13 +81,16 @@ def _add_lattice_args(p: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_output_args(p: argparse.ArgumentParser, formats=("json",)) -> None:
+def _add_output_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", metavar="FILE", help="write here instead of stdout")
+
+
+def _add_format_arg(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--format",
-        choices=list(formats),
-        default=formats[0],
-        help=f"output format (default {formats[0]})",
+        choices=["json", "csv"],
+        default="json",
+        help="output format (default json)",
     )
 
 
@@ -143,7 +149,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("points", help="enumerate the node set")
     _add_lattice_args(p)
-    _add_output_args(p, formats=("json", "csv"))
+    _add_output_args(p)
+    _add_format_arg(p)
     _add_caps(p, svp=False)
 
     p = sub.add_parser(
@@ -167,13 +174,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--mode", choices=["korobov", "exhaustive"], default="korobov"
     )
-    _add_output_args(p, formats=("json", "csv"))
+    _add_output_args(p)
+    _add_format_arg(p)
     _add_precision_arg(p)
     _add_caps(p, enum=False)
 
     p = sub.add_parser("verify", help="certified bounds report")
     _add_lattice_args(p)
-    _add_output_args(p, formats=("json", "csv"))
+    _add_output_args(p)
+    _add_format_arg(p)
     _add_precision_arg(p)
     _add_caps(p)
     p.add_argument("--name", default=None, help="label used in the report")
@@ -230,7 +239,7 @@ def _lattice_from_args(args) -> lattice_mod.IntegrationLattice:
 
 
 def _digits_for(args) -> int:
-    digits = getattr(args, "digits", None)
+    digits = args.digits
     env = os.environ.get("LATDISC_PRECISION")
     if digits is None and env:
         try:
@@ -250,6 +259,12 @@ def _write_text(args, text: str) -> None:
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _write_csv(args, header: list, row: list) -> None:
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows([header, row])
+    _write_text(args, buf.getvalue())
 
 
 def _emit_json(args, command: str, parameters: dict, result) -> None:
@@ -354,25 +369,13 @@ def _cmd_search(args) -> int:
         args.n, args.d, mode=args.mode, digits=digits, svp_cap=args.svp_cap
     )
     if args.format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(
+        _write_csv(
+            args,
             ["n", "dim", "mode", "generator", "norm_sq", "sigma_sq", "sigma",
-             "n_searched"]
+             "n_searched"],
+            [res.n, res.dim, res.mode, " ".join(map(str, res.generator)),
+             res.norm_sq, res.sigma_sq, res.sigma_decimal, res.n_searched],
         )
-        writer.writerow(
-            [
-                res.n,
-                res.dim,
-                res.mode,
-                " ".join(str(x) for x in res.generator),
-                res.norm_sq,
-                str(res.sigma_sq),
-                res.sigma_decimal,
-                res.n_searched,
-            ]
-        )
-        _write_text(args, buf.getvalue())
         return EXIT_OK
     params = {
         "n": args.n,
@@ -385,6 +388,13 @@ def _cmd_search(args) -> int:
     return EXIT_OK
 
 
+# the report.to_dict() keys of a verify CSV row, before its verdict
+VERIFY_COLUMNS = [
+    "name", "dim", "n_points", "sigma_sq", "sigma", "minkowski_sigma_lb",
+    "jn_upper", "certified_jn_lb", "certified_jn_lb_decimal",
+]
+
+
 def _cmd_verify(args) -> int:
     lat = _lattice_from_args(args)
     digits = _digits_for(args)
@@ -392,10 +402,15 @@ def _cmd_verify(args) -> int:
     report = bounds.verify_lattice(
         lat, name=name, digits=digits, svp_cap=args.svp_cap, enum_cap=args.cap
     )
+    result = report.to_dict()
     if args.format == "csv":
-        buf = io.StringIO()
-        bounds.write_reports_csv([report], buf)
-        _write_text(args, buf.getvalue())
+        failed = sorted(k for k, ok in report.checks.items() if not ok)
+        verdict = "fail:" + ",".join(failed) if failed else "pass"
+        _write_csv(
+            args,
+            [*VERIFY_COLUMNS, "verdict"],
+            [*(result[k] for k in VERIFY_COLUMNS), verdict],
+        )
     else:
         params = {
             "lattice": lat.spec_string(),
@@ -403,7 +418,7 @@ def _cmd_verify(args) -> int:
             "cap": args.cap,
             "svp_cap": args.svp_cap,
         }
-        _emit_json(args, "verify", params, report.to_dict())
+        _emit_json(args, "verify", params, result)
     return EXIT_OK if report.all_passed else EXIT_INVARIANT
 
 

@@ -21,8 +21,9 @@ certificate reads its empty slab off the counts, and the estimator, which
 takes the finished certificates, starts its scan of h from them.
 
 Every quantity reported as a bound is an exact Fraction backed by a witness
-body; the estimator re-verifies each winning witness with a literal pass
-over the points before reporting it.  The only irrational quantity, the
+body; before it returns, the estimator re-verifies each distinct claim (a
+certificate body at its bound, a winning witness at the best value) with
+one literal pass over the points.  The only irrational quantity, the
 sigma-based upper bound d^2 2^d sigma(L), is carried in exact squared form.
 
 The search is one stream of candidates, and its budget is a slice of the
@@ -438,17 +439,20 @@ def estimate_isotropic_discrepancy(
     `certificates` is the (slab, planes) pair built for this node set.  The
     search is deterministic given (points, certificates, budget, seed).  It
     always starts with the mandatory candidates: both certificate witness
-    bodies enter budget-free after a literal re-check against `points`, and
-    the planes' normal heads the normal list, scanned from the planes' counts
+    bodies enter budget-free at their claimed bounds, and the planes' normal
+    heads the normal list, scanned from the planes' counts
     (InputError if those are not counts of N nodes).  The candidate stream then
     runs the halfspaces and slabs of those normals and the axis directions,
     the axis-box families at point-induced critical offsets, and finally
     seeded random integer normals in [-10, 10]^d and random boxes, until
     2000 random normals were zero or already scanned.  The search evaluates
     the first `budget` candidates of that stream, each one budget unit.
-    Winning witnesses are re-verified with a literal pass over the point
-    set.  The sigma upper bound d^2 2^d sigma(L) is attached in exact
-    squared form, from the planes' sigma_sq.
+    Every distinct (body, claimed value) pair, the certificate bodies at
+    their bounds and the winning witnesses at the best value, is then
+    re-verified with one literal pass over the point set
+    (InvariantViolationError on a mismatch).  The sigma upper bound
+    d^2 2^d sigma(L) is attached in exact squared form, from the planes'
+    sigma_sq.
     """
     if budget < 0:
         raise InputError("budget must be nonnegative")
@@ -459,16 +463,12 @@ def estimate_isotropic_discrepancy(
     if plane_cert.n_points != n or sum(c for _, c in plane_cert.plane_counts) != n:
         raise InputError("the certificates were not built for this node set")
     search = _Search(points, seed)
-    for body, bound in (
+    certified = [
         (slab_cert.body, slab_cert.implied_lower_bound),
         (plane_cert.witness_body, plane_cert.implied_lower_bound),
-    ):
-        delta = volume.local_discrepancy(points, body)
-        if abs(delta) != bound:
-            raise InvariantViolationError(
-                "certificate bound disagrees with literal re-verification"
-            )
-        search.record(body, delta)
+    ]
+    for body, bound in certified:
+        search.record(body, bound)
     upper_sq, upper_decimal = sigma_upper_bound(d, plane_cert.sigma_sq, digits)
 
     # the planes' normal h is a nonzero shortest dual vector, then the axes;
@@ -481,9 +481,14 @@ def estimate_isotropic_discrepancy(
 
     search.evaluate(_candidates(search, normals, counts), budget)
 
-    for body in search.witnesses:
-        if abs(volume.local_discrepancy(points, body)) != search.best:
-            raise InvariantViolationError("witness failed literal re-verification")
+    # each distinct (body, claimed value) pair is counted once over all N
+    # nodes: a certificate body that is also a witness claims the same value
+    claims = certified + [(body, search.best) for body in search.witnesses]
+    for body, value in dict.fromkeys(claims):
+        if abs(volume.local_discrepancy(points, body)) != value:
+            raise InvariantViolationError(
+                "claimed bound disagrees with literal re-verification"
+            )
     witnesses = tuple(
         sorted(search.witnesses, key=lambda b: json.dumps(volume.body_to_dict(b)))
     )

@@ -1,7 +1,7 @@
-"""Dimension constants, the Minkowski floor, and the verification reports."""
+"""Dimension constants, the Minkowski floor, and the verification reports.
 
-import dataclasses
-import io
+The verify CSV row is written by the CLI (tests/test_cli.py, TestVerifyCSV)."""
+
 import json
 from fractions import Fraction
 
@@ -211,34 +211,3 @@ class TestVerifyLattice:
         assert data["checks"]["sigma_vs_minkowski"] is True
         assert data["note"] == bounds.DIMENSION_FREE_NOTE
 
-
-class TestReportsCSV:
-    def test_header_and_row_shape(self):
-        reps = [
-            bounds.verify_lattice(lattice.from_rank1(5, (1, 3)), name="fib5"),
-            bounds.verify_lattice(constructions.bad_lattice(2), name="bad2"),
-        ]
-        buf = io.StringIO()
-        bounds.write_reports_csv(reps, buf)
-        lines = buf.getvalue().splitlines()
-        assert lines[0].split(",") == bounds.REPORT_COLUMNS
-        assert len(lines) == 3
-        first = lines[1].split(",")
-        assert first[0] == "fib5"
-        assert first[-1] == "pass"
-        assert first[3] == "1/5"
-
-    def test_failing_check_changes_verdict(self):
-        rep = bounds.verify_lattice(lattice.from_rank1(5, (1, 3)), name="x")
-        broken = dataclasses.replace(
-            rep, checks={**rep.checks, "pigeonhole_count": False}
-        )
-        assert not broken.all_passed
-        assert bounds.report_row(broken)[-1] == "fail:pigeonhole_count"
-
-    def test_bytes_stable(self):
-        rep = bounds.verify_lattice(lattice.from_rank1(5, (1, 3)), name="r")
-        a, b = io.StringIO(), io.StringIO()
-        bounds.write_reports_csv([rep], a)
-        bounds.write_reports_csv([rep], b)
-        assert a.getvalue() == b.getvalue()

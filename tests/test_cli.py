@@ -1,5 +1,7 @@
 """Command-line interface: subcommands, exit codes, and stable output."""
 
+import csv
+import dataclasses
 import hashlib
 import io
 import json
@@ -13,7 +15,7 @@ from itertools import combinations
 import pytest
 
 import latdisc
-from latdisc import __version__, cli, directed, lattice, reduction, volume
+from latdisc import __version__, bounds, cli, directed, lattice, reduction, volume
 
 
 def run_cli(capsys, *args):
@@ -351,7 +353,8 @@ class TestOnePlanePass:
     """One products pass along the shortest dual vector h per command: the
     plane certificate's counts prove the empty slab and start the search's
     scan of h/gcd(h).  The estimator still re-checks both certificate bodies
-    and every witness with a literal pass over all N nodes."""
+    and every witness with a literal pass over all N nodes, one pass per
+    distinct body."""
 
     LATTICES = {
         "fibonacci13": ["--family", "fibonacci", "--m", "13"],  # h = (8, -13)
@@ -400,18 +403,24 @@ class TestOnePlanePass:
         code, data = run_json(capsys, "certify", *self.LATTICES[lat], "--budget", "2000")
         result = data["result"]
         h = tuple(int(x) for x in result["plane_certificate"]["normal"])
-        witnesses = result["estimate"]["witnesses"]
-        witness_normals = [
-            tuple(Fraction(x) for x in w["normal"]) for w in witnesses if "normal" in w
-        ]
-        assert code == 0
-        # the plane pass, the two certificate re-checks, one pass per witness
-        assert len(self._along(streams, h)) == 3 + len(self._along(witness_normals, h))
-        assert checked[:2] == [
+        certified = [
             result["slab_certificate"]["body"],
             result["plane_certificate"]["witness_body"],
         ]
-        assert sorted(checked[-len(witnesses):], key=json.dumps) == witnesses
+        others = [w for w in result["estimate"]["witnesses"] if w not in certified]
+        other_normals = [
+            tuple(Fraction(x) for x in w["normal"]) for w in others if "normal" in w
+        ]
+        assert code == 0
+        # the plane pass, the two certificate re-checks, and one pass per
+        # witness that is not a certificate body
+        assert len(self._along(streams, h)) == 3 + len(self._along(other_normals, h))
+        # the claims are checked last (random boxes are counted during the
+        # search), each body once
+        claims = checked[len(checked) - len(certified) - len(others):]
+        assert claims[:2] == certified
+        assert sorted(claims[2:], key=json.dumps) == others
+        assert max(Counter(json.dumps(b, sort_keys=True) for b in checked).values()) == 1
 
 
 class TestSearch:
@@ -457,6 +466,90 @@ class TestVerify:
         lines = out.splitlines()
         assert lines[0].startswith("name,dim,n_points")
         assert lines[1].endswith("pass")
+
+
+class TestVerifyCSV:
+    """verify --format csv: one header and one row per command, the row's
+    cells read from report.to_dict() and the verdict last."""
+
+    HEADER = (
+        "name,dim,n_points,sigma_sq,sigma,minkowski_sigma_lb,jn_upper,"
+        "certified_jn_lb,certified_jn_lb_decimal,verdict"
+    )
+    FIB5 = ["--n", "5", "--generator", "1,3"]
+
+    def test_header_and_pass_rows(self, capsys):
+        for lat, name, sigma_sq in (
+            (self.FIB5, "fib5", "1/5"),
+            (["--family", "bad", "--m", "2"], "bad2", "1/4"),
+        ):
+            code, out = run_cli(
+                capsys, "verify", *lat, "--name", name, "--format", "csv"
+            )
+            assert code == 0
+            lines = out.splitlines()
+            assert lines[0] == self.HEADER
+            assert len(lines) == 2
+            row = lines[1].split(",")
+            assert row[0] == name
+            assert row[3] == sigma_sq
+            assert row[-1] == "pass"
+
+    def test_failing_check_changes_verdict(self, capsys, monkeypatch):
+        verify_lattice = bounds.verify_lattice
+
+        def broken(*args, **kwargs):
+            rep = verify_lattice(*args, **kwargs)
+            return dataclasses.replace(
+                rep, checks={**rep.checks, "pigeonhole_count": False}
+            )
+
+        monkeypatch.setattr(bounds, "verify_lattice", broken)
+        code, out = run_cli(capsys, "verify", *self.FIB5, "--format", "csv")
+        assert code == 4
+        assert out.splitlines()[1].endswith(",fail:pigeonhole_count")
+
+    def test_bytes_stable(self, capsys):
+        args = ("verify", *self.FIB5, "--name", "r", "--format", "csv")
+        assert run_cli(capsys, *args) == run_cli(capsys, *args)
+
+    def test_name_is_quoted(self, capsys):
+        name = 'a,"b"'
+        code, out = run_cli(
+            capsys, "verify", *self.FIB5, "--name", name, "--format", "csv"
+        )
+        assert code == 0
+        row = out.splitlines()[1]
+        assert row.startswith('"a,""b""",2,5,')
+        assert next(csv.reader([row]))[0] == name
+
+
+class TestFormatOption:
+    """--format exists only where there is a choice: points, search and
+    verify take json or csv; the other commands write one format."""
+
+    ARGS = {
+        "construct": ["--family", "fibonacci", "--m", "5"],
+        "spectral": ["--family", "fibonacci", "--m", "5"],
+        "certify": ["--family", "fibonacci", "--m", "5", "--budget", "10"],
+        "points": ["--family", "fibonacci", "--m", "5"],
+        "search": ["--n", "17", "--d", "2"],
+        "verify": ["--family", "fibonacci", "--m", "5"],
+    }
+
+    @pytest.mark.parametrize("command", ["construct", "spectral", "certify"])
+    def test_one_format_commands_refuse_the_option(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, *self.ARGS[command], "--format", "json"])
+        assert exc.value.code == 2
+        assert "--format" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("command", ["points", "search", "verify"])
+    def test_choice_commands_take_both(self, capsys, command, fmt):
+        code, out = run_cli(capsys, command, *self.ARGS[command], "--format", fmt)
+        assert code == 0
+        assert out.startswith("{") == (fmt == "json")
 
 
 class TestPrecision:

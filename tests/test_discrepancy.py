@@ -113,6 +113,22 @@ class TestLiteralRecheck:
         with pytest.raises(InvariantViolationError):
             discrepancy.slab_certificate(forged)
 
+    @pytest.mark.parametrize("which", [0, 1], ids=["slab", "planes"])
+    def test_estimator_rejects_forged_certificate_bound(self, which):
+        # a bound forged above every true discrepancy: the forged body wins
+        # the search, so its claim and the witness's are one pair, still
+        # counted against every node before anything is returned
+        lat, pts = _rule(21, (1, 13))
+        certificates = list(_certificates(lat, pts))
+        cert = certificates[which]
+        certificates[which] = dataclasses.replace(
+            cert, implied_lower_bound=cert.implied_lower_bound + 1
+        )
+        with pytest.raises(InvariantViolationError):
+            discrepancy.estimate_isotropic_discrepancy(
+                pts, tuple(certificates), budget=100
+            )
+
 
 class TestSlabCertificate:
     def test_frozen_small_rule(self):

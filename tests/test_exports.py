@@ -1,7 +1,8 @@
 """Every public name resolves: `latdisc.__all__`, and the functions the
 benchmark's layer tracer (perfbench/layers.py) wraps by name; and every
 top-level definition in src/, and every method of a top-level class, is
-reachable from the commands."""
+reachable from the commands; and only the CLI module imports the I/O
+modules."""
 
 import ast
 import importlib
@@ -102,3 +103,26 @@ def test_src_reachable_from_commands():
                     reached.add(key)
                     todo.append(defs[key])
     assert sorted(f"{m}.{name}" for m, name in defs.keys() - reached) == []
+
+
+def test_only_the_cli_does_io():
+    # argument parsing, CSV, streams, the environment and the process live
+    # in cli; the library modules take and return values
+    io_modules = {"argparse", "csv", "io", "os", "sys"}
+    found = []
+    for path in sorted((LAYERS.parents[1] / "src" / "latdisc").glob("*.py")):
+        if path.stem == "cli":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            found += [
+                f"{path.stem}: {name}"
+                for name in names
+                if name.partition(".")[0] in io_modules
+            ]
+    assert found == []
