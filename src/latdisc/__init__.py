@@ -20,10 +20,9 @@ from .errors import (
     LatdiscError,
     NotIntegrationLatticeError,
     RankDeficientError,
-    SingularMatrixError,
     UndecidableComparisonError,
 )
-from .linalg import RationalMatrix, det, gram_schmidt, hnf, inverse
+from .linalg import gram_schmidt, hnf, inverse
 from .lattice import (
     IntegrationLattice,
     PointSet,
@@ -84,14 +83,11 @@ __all__ = [
     "LatdiscError",
     "InputError",
     "RankDeficientError",
-    "SingularMatrixError",
     "NotIntegrationLatticeError",
     "CapExceededError",
     "UndecidableComparisonError",
     "InvariantViolationError",
     # linear algebra
-    "RationalMatrix",
-    "det",
     "inverse",
     "hnf",
     "gram_schmidt",

@@ -21,10 +21,6 @@ class RankDeficientError(InputError):
     """Rows were expected to be linearly independent / full rank and are not."""
 
 
-class SingularMatrixError(InputError):
-    """A matrix that must be invertible is singular."""
-
-
 class NotIntegrationLatticeError(InputError):
     """The lattice does not contain the integer lattice."""
 

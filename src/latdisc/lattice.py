@@ -13,11 +13,12 @@ is an integer lattice of determinant N and drives everything quantitative in
 this package: the spectral test of L is sigma(L) = 1 / min{ ||h|| : h in
 L-perp, h != 0 }.
 
-Bases are canonicalized to Hermite normal form on construction, so two
-lattices are equal iff their `basis` attributes are equal.  Everything is
-exact; nothing here rounds.  Bases are Fractions; nodes are integer
-numerators over one shared denominator q (the lcm of the HNF denominators,
-a divisor of N for an integration lattice), so per-node work is integer.
+A lattice is held in integers: L = H Z^d / q for the canonical (HNF)
+integer basis H of q L and the least such q, so two lattices are equal iff
+their (rows, denominator) pairs are.  Each pivot of H divides q (q e_l is in
+q L), N = q^d / prod(pivots), and the nodes are integer numerators over the
+same q, so per-node work is integer.  Everything is exact; nothing here
+rounds.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ import json
 from array import array
 from fractions import Fraction
 from itertools import chain, count, islice, repeat
+from math import gcd, lcm, prod
 from operator import sub
 from typing import Iterable
 
@@ -33,43 +35,51 @@ from . import linalg
 from .errors import (
     CapExceededError,
     InputError,
-    InvariantViolationError,
     NotIntegrationLatticeError,
 )
-from .linalg import RationalMatrix
 
 DEFAULT_ENUM_CAP = 10**6
 _BLOCK = 1 << 15  # nodes per block of a products stream
 
 
 class IntegrationLattice:
-    """A lattice L with Z^d <= L < R^d, canonical HNF basis rows.
+    """A lattice L with Z^d <= L < R^d, held as L = H Z^d / q.
+
+    Built from `rows`, the HNF of scale L for some positive integer scale,
+    and `scale`; their common factor is divided out, so q is the least
+    denominator: gcd(q, every entry of H) = 1.
 
     Attributes
     ----------
-    basis : RationalMatrix
-        Canonical (HNF) basis, rows are basis vectors.
+    rows : tuple of tuples of int
+        H, the canonical (HNF) basis of q L, rows are basis vectors.
+    denominator : int
+        q.
     dim : int
     n_points : int
-        N = det(dual) = number of nodes in [0,1)^d.
+        N = q^d / prod(pivots of H) = number of nodes in [0,1)^d.
     rank1_data : (n, generator) or None
         Set when the lattice was built as a rank-1 rule; presentational
         only (serialization uses it for the compact JSON form).
     """
 
-    __slots__ = ("basis", "dim", "n_points", "rank1_data")
+    __slots__ = ("rows", "denominator", "dim", "n_points", "rank1_data")
 
-    def __init__(self, basis, dim, n_points, rank1_data=None):
-        self.basis = basis
-        self.dim = dim
-        self.n_points = n_points
+    def __init__(self, rows, scale, rank1_data=None):
+        g = gcd(scale, *chain.from_iterable(rows))
+        self.rows = tuple(tuple(x // g for x in row) for row in rows)
+        self.denominator = q = scale // g
+        self.dim = d = len(rows)
+        self.n_points = q**d // prod(row[i] for i, row in enumerate(self.rows))
         self.rank1_data = rank1_data
 
     def __eq__(self, other):
-        return isinstance(other, IntegrationLattice) and self.basis == other.basis
+        return isinstance(other, IntegrationLattice) and (
+            self.rows, self.denominator
+        ) == (other.rows, other.denominator)
 
     def __hash__(self):
-        return hash(self.basis)
+        return hash((self.rows, self.denominator))
 
     def __repr__(self):
         if self.rank1_data is not None:
@@ -133,61 +143,57 @@ def from_rank1(n: int, generator: Iterable[int]) -> IntegrationLattice:
     which repeat with period N = n / gcd(n, g_1, ..., g_d): that is the node
     count, and the determinant of the dual.
     """
-    if not isinstance(n, int) or n < 1:
+    if not _is_int(n) or n < 1:
         raise InputError("rank-1 modulus n must be a positive integer")
-    g = tuple(int(x) for x in generator)
+    g = tuple(generator)
     if not g:
         raise InputError("rank-1 generator must be nonempty")
+    if not all(map(_is_int, g)):
+        raise InputError("rank-1 generator entries must be integers")
     d = len(g)
-    rows = [[Fraction(x, n) for x in g]]
-    rows.extend(
-        [Fraction(int(i == j)) for j in range(d)] for i in range(d)
-    )
-    basis = linalg.hnf(RationalMatrix(rows))
-    n_points = _point_count_from_basis(basis)
-    return IntegrationLattice(basis, d, n_points, rank1_data=(n, g))
+    # n L is spanned by g and n e_1, ..., n e_d
+    rows = [g, *([n * (i == j) for j in range(d)] for i in range(d))]
+    return IntegrationLattice(linalg.hnf(rows, d), n, rank1_data=(n, g))
 
 
 def from_basis(rows) -> IntegrationLattice:
-    """Integration lattice spanned by the given basis rows, canonicalized to
-    HNF.  Raises NotIntegrationLatticeError, with the first unit vector the
-    lattice misses as witness, when it does not contain Z^d.
+    """Integration lattice spanned by the given basis rows (ints, Fractions
+    or 'p/q' strings), canonicalized to HNF.  Raises
+    NotIntegrationLatticeError, with the first unit vector the lattice
+    misses as witness, when it does not contain Z^d.
     """
-    matrix = rows if isinstance(rows, RationalMatrix) else RationalMatrix(rows)
-    if not matrix.is_square:
+    matrix = [linalg.as_vector(row) for row in rows]
+    d = len(matrix)
+    if not d or any(len(row) != d for row in matrix):
         raise InputError("a lattice basis must be square (d independent rows)")
-    basis = linalg.hnf(matrix)
-    d = matrix.n_cols
-    inv = linalg.inverse(basis)
+    scale = lcm(*(x.denominator for row in matrix for x in row))
+    ints = [[x.numerator * (scale // x.denominator) for x in row] for row in matrix]
+    lattice = IntegrationLattice(linalg.hnf(ints, d), scale)
     # Z^d <= L  iff  every unit vector e_i is an integer combination of the
-    # basis rows; the coefficient vector of e_i is row i of basis^-1.
-    for i, row in enumerate(inv.rows):
-        if any(c.denominator != 1 for c in row):
+    # basis rows H / q; the coefficient vector of e_i is row i of q H^-1.
+    for i, row in enumerate(linalg.inverse(lattice.rows, lattice.denominator)):
+        if row is None:
             raise NotIntegrationLatticeError(
                 f"unit vector e_{i + 1} is not in the lattice",
                 witness=tuple(int(j == i) for j in range(d)),
             )
-    return IntegrationLattice(basis, d, _point_count_from_basis(basis))
+    return lattice
 
 
-def _point_count_from_basis(basis: RationalMatrix) -> int:
-    determinant = linalg.det(basis)
-    n = 1 / determinant
-    if n.denominator != 1 or n <= 0:
-        raise InputError("basis determinant is not the reciprocal of a point count")
-    return int(n)
+def dual(lattice: IntegrationLattice) -> tuple[tuple[int, ...], ...]:
+    """The canonical HNF basis of the dual lattice, integer rows that are
+    basis vectors: the HNF of the columns of q H^-1, the inverse of the
+    basis H / q.
 
-
-def dual(lattice: IntegrationLattice) -> RationalMatrix:
-    """The canonical HNF basis of the dual lattice, rows are basis vectors.
-
-    The dual basis of an integration lattice is integral and its determinant
-    equals the node count N; both facts are verified here.
+    The dual basis of an integration lattice is integral and its determinant,
+    the product of its pivots, equals the node count N; both facts are
+    verified here.
     """
-    basis = linalg.hnf(linalg.inverse(lattice.basis).transpose())
-    if any(x.denominator != 1 for row in basis.rows for x in row):
+    inv = linalg.inverse(lattice.rows, lattice.denominator)
+    if None in inv:
         raise InputError("dual of an integration lattice must be integral (bug)")
-    if linalg.det(basis) != lattice.n_points:
+    basis = linalg.hnf(list(zip(*inv)), lattice.dim)
+    if prod(row[i] for i, row in enumerate(basis)) != lattice.n_points:
         raise InputError("dual determinant does not equal the node count (bug)")
     return basis
 
@@ -197,8 +203,8 @@ def enumerate_points(
 ) -> PointSet:
     """All lattice points in [0,1)^d, exactly, in deterministic order.
 
-    Scales the HNF basis by q to integer rows: upper triangular, and each
-    pivot p_l divides q, since q e_l is in L.  If row 0 has pivot 1 and
+    Walks the integer rows H of q L: upper triangular, and each pivot p_l
+    divides q, since q e_l is in q L.  If row 0 has pivot 1 and
     every later row is q e_j (a rank-1 rule with g_0 = 1), node k is
     (k, k g_1 mod q, ...): the closed-form branch.  Otherwise the walk
     fixes one coordinate per level, breadth first, one column at a time.
@@ -218,9 +224,9 @@ def enumerate_points(
             f"lattice has {lattice.n_points} points, cap is {cap}"
         )
     d = lattice.dim
-    rows, q = lattice.basis.scaled_integer_rows()
+    rows, q = lattice.rows, lattice.denominator
     if rows[0][0] == 1 and all(rows[i][i] == q for i in range(1, d)):
-        # then row i >= 1 is q e_i: q e_i is in L and HNF entries lie in [0, q)
+        # then row i >= 1 is q e_i: q e_i is in q L and HNF entries lie in [0, q)
         return PointSet(
             (array("q", map(q.__rmod__, islice(count(0, g), q))) for g in rows[0]), q
         )
@@ -260,7 +266,10 @@ def to_json(lattice: IntegrationLattice) -> str:
             "dim": lattice.dim,
             "kind": "basis",
             "n": lattice.n_points,
-            "basis": lattice.basis.to_string_rows(),
+            "basis": [
+                [str(Fraction(x, lattice.denominator)) for x in row]
+                for row in lattice.rows
+            ],
         }
     return json.dumps(payload, sort_keys=True)
 

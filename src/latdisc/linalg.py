@@ -1,29 +1,25 @@
-"""Exact linear algebra over the rationals.
+"""Exact linear algebra on integer rows.
 
-Everything in this module is exact: entries are fractions.Fraction, there is
-no floating point anywhere, and results are reproducible bit for bit.  The
-matrices involved are small (lattice bases, a handful of rows), so clarity
-wins over asymptotics; the one concession to speed is the fraction-free
-Bareiss elimination used for determinants, which keeps intermediate integers
-from exploding the way naive integer Gaussian elimination does.
-
-Conventions
------------
-Matrices are immutable and stored as tuples of tuples of Fraction.  A basis
-is a matrix whose *rows* are the basis vectors.  The Hermite normal form used
+A lattice basis is a list of integer *rows*, the basis vectors; a rational
+lattice L is carried as the integer rows of q L for one integer q, so the
+matrix work below never meets a fraction.  The Hermite normal form used
 throughout is the row-style one: pivots on the diagonal, positive, with the
 entries above each pivot reduced modulo it.  It is the canonical
 representative of the row span, so two bases generate the same lattice
-exactly when their HNFs are equal.
+exactly when their HNFs are equal, and the determinant of a basis in HNF
+is the product of its pivots.  The matrices are small (lattice bases, a
+handful of rows), so clarity wins over asymptotics.
+
+as_fraction and as_vector parse the rational entries of user input (basis
+documents, bodies); gram_schmidt is the one Fraction computation here.
 """
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .errors import InputError, RankDeficientError, SingularMatrixError
+from .errors import InputError, RankDeficientError
 
 Vector = tuple[Fraction, ...]
 
@@ -57,146 +53,15 @@ def dot(u: Sequence, v: Sequence) -> Fraction:
     return sum((a * b for a, b in zip(u, v)), start=Fraction(0))
 
 
-class RationalMatrix:
-    """An immutable matrix of Fractions.
-
-    Parameters
-    ----------
-    rows : iterable of iterables
-        Entries may be ints, Fractions, or 'p/q' strings.
-
-    Notes
-    -----
-    Row vectors are the unit of meaning here (bases are lists of row
-    vectors), so iteration and indexing are row first.
-    """
-
-    __slots__ = ("rows",)
-
-    def __init__(self, rows):
-        materialized = tuple(tuple(as_fraction(x) for x in row) for row in rows)
-        if not materialized or not materialized[0]:
-            raise InputError("matrix must have at least one row and one column")
-        width = len(materialized[0])
-        if any(len(row) != width for row in materialized):
-            raise InputError("ragged rows in matrix")
-        object.__setattr__(self, "rows", materialized)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RationalMatrix is immutable")
-
-    @property
-    def n_rows(self) -> int:
-        return len(self.rows)
-
-    @property
-    def n_cols(self) -> int:
-        return len(self.rows[0])
-
-    @property
-    def is_square(self) -> bool:
-        return self.n_rows == self.n_cols
-
-    def __getitem__(self, index) -> Fraction:
-        i, j = index
-        return self.rows[i][j]
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, RationalMatrix) and self.rows == other.rows
-
-    def __hash__(self) -> int:
-        return hash(self.rows)
-
-    def __repr__(self) -> str:
-        body = "; ".join(" ".join(str(x) for x in row) for row in self.rows)
-        return f"RationalMatrix([{body}])"
-
-    def transpose(self) -> "RationalMatrix":
-        return RationalMatrix(list(zip(*self.rows)))
-
-    def scaled_integer_rows(self) -> tuple[list[list[int]], int]:
-        """Return (integer rows, scale) with integer_rows == scale * self.
-
-        scale is the least common multiple of all entry denominators, so it
-        is the smallest positive integer making every entry integral.
-        """
-        scale = 1
-        for row in self.rows:
-            for x in row:
-                scale = scale * x.denominator // math.gcd(scale, x.denominator)
-        ints = [[int(x * scale) for x in row] for row in self.rows]
-        return ints, scale
-
-    def to_string_rows(self) -> list[list[str]]:
-        """Entries as exact 'p/q' strings (used by the JSON/CSV writers)."""
-        return [[str(x) for x in row] for row in self.rows]
-
-
-def _bareiss_det(rows: list[list[int]]) -> int:
-    """Fraction-free determinant of an integer matrix (Bareiss elimination).
-
-    Intermediate entries are themselves determinants of minors, so the
-    divisions below are exact and entry growth stays polynomial.
-    """
-    n = len(rows)
-    m = [row[:] for row in rows]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            pivot_row = next((i for i in range(k + 1, n) if m[i][k] != 0), None)
-            if pivot_row is None:
-                return 0
-            m[k], m[pivot_row] = m[pivot_row], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
-
-
-def det(matrix: RationalMatrix) -> Fraction:
-    """Exact determinant of a square matrix."""
-    if not matrix.is_square:
-        raise InputError("determinant requires a square matrix")
-    ints, scale = matrix.scaled_integer_rows()
-    n = matrix.n_rows
-    return Fraction(_bareiss_det(ints), scale**n)
-
-
-def inverse(matrix: RationalMatrix) -> RationalMatrix:
-    """Exact inverse via Gauss-Jordan elimination on an augmented matrix."""
-    if not matrix.is_square:
-        raise InputError("inverse requires a square matrix")
-    n = matrix.n_rows
-    aug = [
-        list(matrix.rows[i]) + [Fraction(int(i == j)) for j in range(n)]
-        for i in range(n)
-    ]
-    for col in range(n):
-        pivot_row = next((i for i in range(col, n) if aug[i][col] != 0), None)
-        if pivot_row is None:
-            raise SingularMatrixError("matrix is singular")
-        aug[col], aug[pivot_row] = aug[pivot_row], aug[col]
-        pivot = aug[col][col]
-        aug[col] = [x / pivot for x in aug[col]]
-        for i in range(n):
-            if i != col and aug[i][col] != 0:
-                factor = aug[i][col]
-                aug[i] = [x - factor * y for x, y in zip(aug[i], aug[col])]
-    return RationalMatrix([row[n:] for row in aug])
-
-
-def _hnf_int(rows: list[list[int]], n_cols: int) -> list[list[int]]:
+def hnf(rows: Sequence[Sequence[int]], n_cols: int) -> tuple[tuple[int, ...], ...]:
     """Row-style Hermite normal form of integer rows spanning full column rank.
 
-    Returns an n_cols x n_cols upper-triangular matrix with positive diagonal
-    and 0 <= entry < pivot above each pivot.  Raises RankDeficientError if the
-    rows do not span rank n_cols.
+    The rows may be any generating set (more rows than columns is fine).
+    Returns the n_cols x n_cols upper-triangular basis of their span with
+    positive diagonal and 0 <= entry < pivot above each pivot.  Raises
+    RankDeficientError if the rows do not span rank n_cols.
     """
-    work = [row[:] for row in rows]
+    work = [list(row) for row in rows]
     n_rows = len(work)
     pivot = 0
     for col in range(n_cols):
@@ -227,38 +92,54 @@ def _hnf_int(rows: list[list[int]], n_cols: int) -> list[list[int]]:
     for i in range(pivot, n_rows):
         if any(a != 0 for a in work[i]):
             raise InputError("rows outside the span of the computed HNF (bug)")
-    return work[:n_cols]
+    return tuple(map(tuple, work[:n_cols]))
 
 
-def hnf(matrix: RationalMatrix) -> RationalMatrix:
-    """Canonical (row-style Hermite) form of the row span of `matrix`.
+def inverse(
+    rows: Sequence[Sequence[int]], scale: int
+) -> list[tuple[int, ...] | None]:
+    """The rows of scale * H^-1 for the upper-triangular integer rows H of
+    an HNF, with None for each row that is not integral.
 
-    The rows may be any generating set (more rows than columns is fine);
-    the result is the unique upper-triangular basis with positive diagonal
-    and entries above each pivot reduced modulo it.  It is computed on the
-    rows scaled to integers by the lcm of the entry denominators.
+    Row i, x, solves x H = scale e_i.  H is upper triangular, so x_j = 0
+    for j < i and column j fixes x_j from x_i .. x_{j-1}:
 
-    Raises RankDeficientError when the rows do not span full column rank.
+        x_j = (scale [i == j] - sum_{i <= k < j} x_k H_kj) / H_jj,
+
+    a forward substitution in which the first inexact division proves the
+    row non-integral.
     """
-    ints, scale = matrix.scaled_integer_rows()
-    reduced = _hnf_int(ints, matrix.n_cols)
-    return RationalMatrix([[Fraction(a, scale) for a in row] for row in reduced])
+    d = len(rows)
+    out = []
+    for i in range(d):
+        x = [0] * d
+        for j in range(i, d):
+            num = (scale if i == j else 0) - sum(x[k] * rows[k][j] for k in range(i, j))
+            x[j], rem = divmod(num, rows[j][j])
+            if rem:
+                out.append(None)
+                break
+        else:
+            out.append(tuple(x))
+    return out
 
 
-def gram_schmidt(basis: RationalMatrix) -> tuple[RationalMatrix, RationalMatrix]:
+def gram_schmidt(
+    rows: Sequence[Sequence],
+) -> tuple[tuple[Vector, ...], tuple[Vector, ...]]:
     """Exact Gram-Schmidt orthogonalization (no normalization).
 
-    Returns (gso, mu) where gso rows are the orthogonal vectors b*_i and mu
-    is unit lower triangular with mu[i][j] = <b_i, b*_j> / <b*_j, b*_j>.
-    Raises RankDeficientError if the rows are linearly dependent.
+    Returns (gso, mu) as tuples of Fraction rows: gso[i] is the orthogonal
+    vector b*_i and mu is unit lower triangular with
+    mu[i][j] = <b_i, b*_j> / <b*_j, b*_j>.  Raises RankDeficientError if
+    the rows are linearly dependent.
     """
-    rows = [list(r) for r in basis.rows]
     n = len(rows)
     gso: list[list[Fraction]] = []
     norms: list[Fraction] = []
     mu = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
     for i in range(n):
-        star = list(rows[i])
+        star = [Fraction(x) for x in rows[i]]
         for j in range(i):
             coeff = dot(rows[i], gso[j]) / norms[j]
             mu[i][j] = coeff
@@ -268,4 +149,4 @@ def gram_schmidt(basis: RationalMatrix) -> tuple[RationalMatrix, RationalMatrix]
             raise RankDeficientError(f"row {i} is linearly dependent on earlier rows")
         gso.append(star)
         norms.append(norm)
-    return RationalMatrix(gso), RationalMatrix(mu)
+    return tuple(map(tuple, gso)), tuple(map(tuple, mu))

@@ -51,9 +51,9 @@ def shortest_vector(
     as soon as the lattice is known to hold a nonzero vector of squared
     norm <= beat: inside LLL when an input row or a new first row
     qualifies, else at the first such vector the enumeration reaches.
-    Zero or dependent rows raise InputError.  A rational basis is scaled
-    to integers first (RationalMatrix.scaled_integer_rows); shortest
-    vectors commute with uniform scaling.
+    Zero or dependent rows raise InputError.  The rows are integers: a
+    rational basis is scaled to integers first, since shortest vectors
+    commute with uniform scaling.
     """
     try:
         reduced = kernels.lll_reduce(rows, beat=beat)
@@ -100,7 +100,7 @@ def spectral_test(
         raise CapExceededError(
             f"shortest vector in dimension {lat.dim} exceeds cap {svp_cap}"
         )
-    vec, norm = shortest_vector(lattice_mod.dual(lat).scaled_integer_rows()[0])
+    vec, norm = shortest_vector(lattice_mod.dual(lat))
     norm_sq = Fraction(norm)
     sigma_sq = 1 / norm_sq
     sigma_lo = directed.sqrt_bounds(sigma_sq, digits).lo

@@ -14,10 +14,13 @@
   lll_reduce_reference is the structured form of the kernel's flat loop,
   which must return the same rows; lattice_contains tests lattice
   membership through the inverse basis.
-- Small exact helpers no command needs: identity and matmul for
-  RationalMatrix, gamma_bounds, the enclosure of a GammaValue, point_set,
-  a PointSet built from arbitrary rational points, and nodes, the Fraction
-  tuples of a PointSet.
+- Fraction matrices, as tuples of rows, independent of the package's
+  integer linear algebra: identity, matmul, det by Gaussian elimination,
+  inverse by Gauss-Jordan elimination, and basis, the rational basis H / q
+  of a lattice.
+- Small exact helpers no command needs: gamma_bounds, the enclosure of a
+  GammaValue, point_set, a PointSet built from arbitrary rational points,
+  and nodes, the Fraction tuples of a PointSet.
 
 Only the tests use them, so they live with the tests rather than in the
 package.
@@ -161,18 +164,17 @@ def coeff_box_widths(rows, radius_sq) -> list[int]:
     exact Gram-Schmidt data, from the last row down, so the guarantee holds
     for the given rows regardless of how (or whether) they were reduced.
     """
-    matrix = linalg.RationalMatrix(rows)
-    gso, mu = linalg.gram_schmidt(matrix)
+    gso, mu = linalg.gram_schmidt(rows)
     radius_sq = Fraction(radius_sq)
     if radius_sq < 0:
         raise InputError("radius_sq must be nonnegative")
-    n = matrix.n_rows
+    n = len(rows)
     widths = [0] * n
     for j in range(n - 1, -1, -1):
-        norm_sq = linalg.dot(gso.rows[j], gso.rows[j])
+        norm_sq = _dot(gso[j], gso[j])
         bound = Fraction(_ceil_sqrt(radius_sq / norm_sq))
         for k in range(j + 1, n):
-            bound += widths[k] * abs(mu[k, j])
+            bound += widths[k] * abs(mu[k][j])
         widths[j] = ceil(bound)
     return widths
 
@@ -211,21 +213,63 @@ def rank1_dual_shortest_bruteforce(n: int, generator, radius_sq: int):
 
 def lattice_contains(basis, x) -> bool:
     """Whether the rational vector x lies in the lattice spanned by the rows
-    of `basis` (a square RationalMatrix): its coordinates x B^-1 are all
-    integers."""
-    inverse = linalg.inverse(basis)
-    return all(linalg.dot(x, col).denominator == 1 for col in inverse.transpose().rows)
+    of the square matrix `basis`: its coordinates x B^-1 are all integers."""
+    return all(c.denominator == 1 for c in matmul([x], inverse(basis))[0])
 
 
-def identity(n: int) -> linalg.RationalMatrix:
+def identity(n: int) -> tuple[tuple[Fraction, ...], ...]:
     """The n x n identity matrix."""
-    return linalg.RationalMatrix([[int(i == j) for j in range(n)] for i in range(n)])
+    return tuple(tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n))
 
 
-def matmul(a: linalg.RationalMatrix, b: linalg.RationalMatrix) -> linalg.RationalMatrix:
-    """The exact product a b."""
-    cols = b.transpose().rows
-    return linalg.RationalMatrix([[linalg.dot(row, col) for col in cols] for row in a.rows])
+def matmul(a, b) -> tuple[tuple[Fraction, ...], ...]:
+    """The exact product a b of two matrices given as rows."""
+    cols = list(zip(*b))
+    return tuple(tuple(Fraction(_dot(row, col)) for col in cols) for row in a)
+
+
+def det(rows) -> Fraction:
+    """The exact determinant of a square matrix, by Gaussian elimination."""
+    m = [[Fraction(x) for x in row] for row in rows]
+    result = Fraction(1)
+    for col in range(len(m)):
+        pivot = next((i for i in range(col, len(m)) if m[i][col]), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != col:
+            m[col], m[pivot] = m[pivot], m[col]
+            result = -result
+        result *= m[col][col]
+        for i in range(col + 1, len(m)):
+            f = m[i][col] / m[col][col]
+            m[i] = [a - f * b for a, b in zip(m[i], m[col])]
+    return result
+
+
+def inverse(rows) -> tuple[tuple[Fraction, ...], ...] | None:
+    """The exact inverse of a square matrix by Gauss-Jordan elimination on
+    the augmented matrix, or None when it is singular."""
+    n = len(rows)
+    aug = [
+        [Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+        for i, row in enumerate(rows)
+    ]
+    for col in range(n):
+        pivot = next((i for i in range(col, n) if aug[i][col]), None)
+        if pivot is None:
+            return None
+        aug[col], aug[pivot] = aug[pivot], aug[col]
+        aug[col] = [x / aug[col][col] for x in aug[col]]
+        for i in range(n):
+            if i != col and aug[i][col]:
+                f = aug[i][col]
+                aug[i] = [x - f * y for x, y in zip(aug[i], aug[col])]
+    return tuple(tuple(row[n:]) for row in aug)
+
+
+def basis(lat: lattice.IntegrationLattice) -> tuple[tuple[Fraction, ...], ...]:
+    """The rational basis H / q of a lattice, rows are basis vectors."""
+    return tuple(tuple(Fraction(x, lat.denominator) for x in row) for row in lat.rows)
 
 
 def nodes(pts: lattice.PointSet) -> list[tuple[Fraction, ...]]:
@@ -261,21 +305,20 @@ def lll_certificate(rows, reduced) -> dict[str, bool]:
     - prop_b: ||b_i||^2 <= 2^(d-1) ||b*_i||^2;
     - chain: 2^(d-1) ||b*_d||^2 >= max_i ||b*_i||^2 and
       2^(d-1) max_i ||b*_i||^2 >= max_i ||b_i||^2;
-    - same_lattice: equal Hermite normal forms.
+    - same_lattice: each basis is an integer combination of the other.
     """
-    basis = linalg.RationalMatrix(reduced)
-    gso, mu = linalg.gram_schmidt(basis)
-    n = basis.n_rows
-    norms = [linalg.dot(b, b) for b in basis.rows]
-    star = [linalg.dot(b, b) for b in gso.rows]
+    gso, mu = linalg.gram_schmidt(reduced)
+    n = len(reduced)
+    norms = [Fraction(_dot(b, b)) for b in reduced]
+    star = [_dot(b, b) for b in gso]
     max_star = max(star)
     top = 2 ** (n - 1)
     return {
         "size_reduced": all(
-            abs(mu[i, j]) <= Fraction(1, 2) for i in range(n) for j in range(i)
+            abs(mu[i][j]) <= Fraction(1, 2) for i in range(n) for j in range(i)
         ),
         "lovasz": all(
-            star[k] >= (Fraction(3, 4) - mu[k, k - 1] ** 2) * star[k - 1]
+            star[k] >= (Fraction(3, 4) - mu[k][k - 1] ** 2) * star[k - 1]
             for k in range(1, n)
         ),
         "prop_a": all(
@@ -283,7 +326,12 @@ def lll_certificate(rows, reduced) -> dict[str, bool]:
         ),
         "prop_b": all(norms[i] <= top * star[i] for i in range(n)),
         "chain": top * star[n - 1] >= max_star and top * max_star >= max(norms),
-        "same_lattice": linalg.hnf(basis) == linalg.hnf(linalg.RationalMatrix(rows)),
+        "same_lattice": all(
+            x.denominator == 1
+            for a, b in ((rows, reduced), (reduced, rows))
+            for row in matmul(a, inverse(b))
+            for x in row
+        ),
     }
 
 

@@ -243,6 +243,44 @@ class TestSpectralOutput:
         ]
 
 
+class TestBasisJsonOutput:
+    """`kind: basis` lattices, pinned to the SHA-256 of the output printed
+    while the lattice held its HNF basis as a matrix of Fractions: two
+    families, and a non-canonical basis (negative and rational entries,
+    the rank-1 rule (12; 1, 5, 7) times a unimodular matrix) read back."""
+
+    DIGESTS = {
+        "construct --family scaled --m 4 --d 3":
+            "c0aef03bb1643b27ce38754cc229effd3e723704466eac7fee144bde1a38e097",
+        "construct --family bad --m 5 --d 3":
+            "9c55a1b5e53da98ab5997159b001e58ce89ec2efb64454bc5d82373af48069ea",
+        "construct --in":
+            "0b449b2e6a86489aa88ee7685751847593b66503483fd8397629cc941b4cb2c6",
+        "spectral --in":
+            "b8679fd959aa7cb20e96b930a512ffdbd4ce805448c6da08ec6cbc679e69096f",
+    }
+    DOC = {
+        "dim": 3,
+        "kind": "basis",
+        "basis": [
+            ["1/12", "-19/12", "19/12"],
+            ["-1/12", "31/12", "-19/12"],
+            [0, -1, 1],
+        ],
+    }
+
+    @pytest.mark.parametrize("args", sorted(DIGESTS))
+    def test_output_unchanged(self, capsys, tmp_path, args):
+        argv = args.split()
+        if argv[-1] == "--in":
+            path = tmp_path / "basis.json"
+            path.write_text(json.dumps(self.DOC))
+            argv.append(str(path))
+        code, out = run_cli(capsys, *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == self.DIGESTS[args]
+
+
 class TestGeneratorSearchOutput:
     """Generator searches, pinned to the SHA-256 of the output printed
     before the change each guards: at d >= 3, while LLL ran as structured

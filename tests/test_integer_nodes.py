@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from latdisc import cli, constructions, lattice, linalg, volume
+from latdisc import cli, constructions, lattice, volume
 from latdisc.volume import AxisBox, Halfspace, Slab
 
 F = Fraction
@@ -30,7 +30,7 @@ CAP = 5000
 def _fraction_walk(lat):
     """The HNF walk in Fraction arithmetic: the reference node order."""
     d = lat.dim
-    rows = lat.basis.rows
+    rows = oracles.basis(lat)
     points = []
     shift = [F(0)] * d
     coords = []
@@ -72,9 +72,11 @@ def _assert_matches_fraction_walk(pts, lat):
 
 def _closed_form_shape(lat):
     """Whether the scaled HNF is [[1, g_1, ...], q e_1, ..., q e_(d-1)]."""
-    rows, q = lat.basis.scaled_integer_rows()
+    rows, q = lat.rows, lat.denominator
     return rows[0][0] == 1 and all(
-        row == [q * (j == i) for j in range(lat.dim)] for i, row in enumerate(rows) if i
+        row == tuple(q * (j == i) for j in range(lat.dim))
+        for i, row in enumerate(rows)
+        if i
     )
 
 
@@ -103,8 +105,7 @@ def represented_rules(draw):
     """A rank-1 rule handed in as a non-canonical basis of the same lattice."""
     lat = draw(rank1_rules())
     u = draw(unimodular(lat.dim))
-    rows = oracles.matmul(linalg.RationalMatrix(u), lat.basis).rows
-    return lattice.from_basis(rows)
+    return lattice.from_basis(oracles.matmul(u, oracles.basis(lat)))
 
 
 @st.composite
@@ -120,9 +121,9 @@ def dual_spanned(draw):
             st.lists(st.integers(-k, k), min_size=d, max_size=d),
             min_size=d,
             max_size=d,
-        ).filter(lambda m: linalg.det(linalg.RationalMatrix(m)) != 0)
+        ).filter(lambda m: oracles.det(m) != 0)
     )
-    return lattice.from_basis(linalg.inverse(linalg.RationalMatrix(m)).transpose())
+    return lattice.from_basis(list(zip(*oracles.inverse(m))))
 
 
 lattices = st.one_of(rank1_rules(), represented_rules(), dual_spanned())

@@ -1,18 +1,19 @@
 """Lattice construction, duals, point enumeration, and JSON interchange."""
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from latdisc import lattice, linalg
+from latdisc import lattice
 from latdisc.errors import (
     CapExceededError,
     InputError,
     NotIntegrationLatticeError,
+    RankDeficientError,
 )
 
 F = Fraction
@@ -41,7 +42,8 @@ class TestFromRank1:
     def test_trivial_rule_is_integer_lattice(self):
         lat = lattice.from_rank1(1, (0, 0, 0))
         assert lat.n_points == 1
-        assert lat.basis == oracles.identity(3)
+        assert lat.rows == ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+        assert lat.denominator == 1
 
     def test_bad_inputs(self):
         with pytest.raises(InputError):
@@ -50,6 +52,47 @@ class TestFromRank1:
             lattice.from_rank1(5, ())
         with pytest.raises(InputError):
             lattice.from_rank1(F(5, 2), (1,))
+
+    @pytest.mark.parametrize(
+        "n,g",
+        [
+            (5, (F(1, 2), 3)),  # was truncated to the generator (0, 3)
+            (5, (1.7, 3)),  # was truncated to (1, 3)
+            (5, ("1", 3)),
+            (5, (True, 3)),
+            (True, (1,)),  # was accepted as n = 1, printed as n=True
+            (5.0, (1, 3)),
+        ],
+    )
+    def test_non_integer_inputs_rejected(self, n, g):
+        with pytest.raises(InputError):
+            lattice.from_rank1(n, g)
+
+    def test_integer_rows_over_the_least_denominator(self):
+        # (6; 2, 4) is the rule (3; 1, 2): H = [[1, 2], [0, 3]] over q = 3
+        lat = lattice.from_rank1(6, (2, 4))
+        assert (lat.rows, lat.denominator) == (((1, 2), (0, 3)), 3)
+
+
+@st.composite
+def rational_bases(draw):
+    """Square rational bases, d <= 4: random small fractions (mostly missing
+    a unit vector, sometimes singular), or the inverse transpose of an
+    integer matrix (an integration lattice), half of them with their
+    columns scaled by small integers, which can drop any unit vector."""
+    d = draw(st.integers(1, 4))
+
+    def square(entries):
+        return st.lists(st.lists(entries, min_size=d, max_size=d), min_size=d, max_size=d)
+
+    if draw(st.integers(0, 2)) == 0:
+        return draw(square(st.fractions(min_value=-3, max_value=3, max_denominator=4)))
+    m = draw(square(st.integers(-3, 3)).filter(lambda m: oracles.det(m) != 0))
+    scales = [1] * d
+    if draw(st.booleans()):
+        scales = draw(st.lists(st.sampled_from([1, 1, 2, 3]), min_size=d, max_size=d))
+    inv = oracles.inverse(m)
+    return [[inv[j][i] * scales[j] for j in range(d)] for i in range(d)]
 
 
 class TestFromBasis:
@@ -62,10 +105,18 @@ class TestFromBasis:
         rows = [[F(1, 5), F(3, 5)], [0, 1]]
         assert lattice.from_basis(rows) == lattice.from_rank1(5, (1, 3))
 
-    def test_non_integration_reports_witness(self):
+    @pytest.mark.parametrize(
+        "rows,witness",
+        [
+            ([[2, 0], [0, 1]], (1, 0)),
+            ([[1, 0], [0, 2]], (0, 1)),
+            ([[F(1, 2), 0, 0], [0, F(2, 3), F(1, 3)], [0, 0, 1]], (0, 1, 0)),
+        ],
+    )
+    def test_non_integration_reports_witness(self, rows, witness):
         with pytest.raises(NotIntegrationLatticeError) as exc:
-            lattice.from_basis([[2, 0], [0, 1]])
-        assert exc.value.witness == (1, 0)
+            lattice.from_basis(rows)
+        assert exc.value.witness == witness
 
     def test_non_square_rejected(self):
         with pytest.raises(InputError):
@@ -75,19 +126,47 @@ class TestFromBasis:
         with pytest.raises(InputError):
             lattice.from_basis([[1, 2], [2, 4]])
 
+    @given(rational_bases())
+    @settings(max_examples=300, deadline=None)
+    def test_against_fraction_oracle(self, rows):
+        inv = oracles.inverse(rows)
+        if inv is None:
+            with pytest.raises(RankDeficientError):
+                lattice.from_basis(rows)
+            return
+        missing = [i for i, row in enumerate(inv) if any(x.denominator != 1 for x in row)]
+        if missing:
+            # the witness is the unit vector of the first non-integral row of B^-1
+            with pytest.raises(NotIntegrationLatticeError) as exc:
+                lattice.from_basis(rows)
+            d = len(rows)
+            assert exc.value.witness == tuple(int(j == missing[0]) for j in range(d))
+            return
+        lat = lattice.from_basis(rows)
+        q = lat.denominator
+        assert lat.n_points == 1 / abs(oracles.det(rows))
+        assert gcd(q, *(x for row in lat.rows for x in row)) == 1
+        # q is the least common denominator of the rational HNF basis H / q
+        assert q == lcm(*(x.denominator for row in oracles.basis(lat) for x in row))
+        # H / q spans the lattice of the rows
+        for a, b in ((rows, oracles.basis(lat)), (oracles.basis(lat), rows)):
+            assert all(x.denominator == 1 for row in oracles.matmul(a, oracles.inverse(b)) for x in row)
+        if lat.n_points <= 2000:
+            assert lattice.enumerate_points(lat).denominator == q
+
 
 class TestDual:
     def test_known_dual_basis(self):
         lat = lattice.from_rank1(5, (1, 3))
-        assert lattice.dual(lat) == linalg.RationalMatrix([[1, 3], [0, 5]])
-        assert linalg.det(lattice.dual(lat)) == 5
+        assert lattice.dual(lat) == ((1, 3), (0, 5))
+        assert oracles.det(lattice.dual(lat)) == 5
 
     def test_dual_of_z_d_is_z_d(self):
         assert lattice.dual(lattice.from_basis([[1, 0], [0, 1]])) == oracles.identity(2)
 
     def test_dual_vectors_pair_integrally_with_nodes(self):
         lat = lattice.from_rank1(7, (1, 2, 3))
-        for row in lattice.dual(lat).rows:
+        for row in lattice.dual(lat):
             for p in oracles.nodes(lattice.enumerate_points(lat)):
                 assert sum(h * x for h, x in zip(row, p)).denominator == 1
 
@@ -99,14 +178,14 @@ class TestMembership:
     def test_nodes_are_members(self):
         lat = lattice.from_rank1(5, (1, 3))
         for p in oracles.nodes(lattice.enumerate_points(lat)):
-            assert oracles.lattice_contains(lat.basis, p)
-        assert oracles.lattice_contains(lat.basis, (1, 1))
-        assert oracles.lattice_contains(lat.basis, (F(6, 5), F(8, 5)))
+            assert oracles.lattice_contains(oracles.basis(lat), p)
+        assert oracles.lattice_contains(oracles.basis(lat), (1, 1))
+        assert oracles.lattice_contains(oracles.basis(lat), (F(6, 5), F(8, 5)))
 
     def test_non_members(self):
         lat = lattice.from_rank1(5, (1, 3))
-        assert not oracles.lattice_contains(lat.basis, (F(1, 5), F(2, 5)))
-        assert not oracles.lattice_contains(lat.basis, (F(1, 2), F(1, 2)))
+        assert not oracles.lattice_contains(oracles.basis(lat), (F(1, 5), F(2, 5)))
+        assert not oracles.lattice_contains(oracles.basis(lat), (F(1, 2), F(1, 2)))
 
 
 class TestEnumeratePoints:
@@ -191,11 +270,11 @@ class TestStructuralInvariants:
     def test_rank1_invariants(self, n, g):
         lat = lattice.from_rank1(n, g)
         # N = det(dual) and N divides n (collapsing only ever shrinks)
-        assert linalg.det(lattice.dual(lat)) == lat.n_points
+        assert oracles.det(lattice.dual(lat)) == lat.n_points
         assert n % (lat.n_points * gcd(n, *g, n)) in (0, n % lat.n_points)
         assert lat.n_points == n // gcd(n, *(list(g) + [n]))
         # the generator node itself is a member
-        assert oracles.lattice_contains(lat.basis, [F(x, n) for x in g])
+        assert oracles.lattice_contains(oracles.basis(lat), [F(x, n) for x in g])
         # round trip through JSON is the identity
         assert lattice.from_json(lattice.to_json(lat)) == lat
 
