@@ -1,11 +1,11 @@
 """Integer lattice kernels.
 
 These are the inner loops of the whole package: LLL reduction, the
-integral Gram-Schmidt data both LLL and the enumeration work on, and the
-exact shortest-vector enumeration; every shortest-vector computation, at
-every rank, is lll_reduce followed by shortest_vectors.  The 2d Gauss
-reduction gives the generator search's dual bases a reduced leading
-block before LLL.  Everything works on plain Python ints (arbitrary
+integral Gram-Schmidt data (LLL builds a row as it first reaches it, the
+enumeration takes all rows), and the exact shortest-vector enumeration;
+every shortest-vector computation is lll_reduce then shortest_vectors.
+The 2d Gauss reduction gives the generator search's dual bases a reduced
+leading block before LLL.  Everything works on plain Python ints (arbitrary
 precision, no overflow by construction) and is deterministic.
 
 All functions take and return lists of ints.  None of them knows about
@@ -26,35 +26,34 @@ def _round_div(a, b):
 
 
 def gauss_reduce_2d(rows):
-    """Lagrange-Gauss reduce a rank-2 integer basis.
+    """Lagrange-Gauss reduce a basis of a rank-2 lattice in Z^2.
 
     The generator search reduces with it the dual of (1, g[1]) that leads
     its dual bases: once per Korobov generator, and once per exhaustive
-    prefix at d >= 3.
+    prefix at d >= 3, on the four scalar components of its two rows.
 
     Returns [u, v] spanning the same lattice with ||u|| <= ||v|| and
     |2 <u, v>| <= ||u||^2, so u attains the lattice minimum.  Raises
     ValueError on dependent or zero rows.
     """
-    u = list(rows[0])
-    v = list(rows[1])
-    nu = _dot(u, u)
-    nv = _dot(v, v)
+    (u0, u1), (v0, v1) = rows
+    nu = u0 * u0 + u1 * u1
+    nv = v0 * v0 + v1 * v1
     if nu == 0 or nv == 0:
         raise ValueError("zero row in 2d basis")
     while True:
         if nv < nu:
-            u, v = v, u
+            u0, u1, v0, v1 = v0, v1, u0, u1
             nu, nv = nv, nu
-        t = _dot(u, v)
+        t = u0 * v0 + u1 * v1
         q = _round_div(t, nu)
         if q == 0:
             break
-        v = [b - q * a for a, b in zip(u, v)]
+        v0, v1 = v0 - q * u0, v1 - q * u1
         nv = nv - q * (2 * t - q * nu)
         if nv == 0:
             raise ValueError("dependent rows in 2d basis")
-    return [u, v]
+    return [[u0, u1], [v0, v1]]
 
 
 def canonical_sign(vec):
@@ -65,30 +64,36 @@ def canonical_sign(vec):
 _INEXACT = "inexact division in all-integer LLL (bug)"
 
 
+def _gso_row(b, d, lam, i):
+    # fill lam[i][:i] and d[i + 1] from rows 0..i of b and the data of rows < i
+    row = b[i]
+    lam_i = lam[i]
+    for j in range(i + 1):
+        u = _dot(row, b[j])
+        for k in range(j):
+            u, r = divmod(d[k + 1] * u - lam_i[k] * lam[j][k], d[k])
+            if r:
+                raise ArithmeticError(_INEXACT)
+        if j < i:
+            lam_i[j] = u
+        elif u <= 0:
+            raise ValueError("dependent rows in LLL input")
+        else:
+            d[i + 1] = u
+
+
 def integral_gso(rows):
     """Integral Gram-Schmidt data of independent integer rows.
 
     Returns (d, lam): d[i] is the Gram determinant of the first i rows
     (d[0] = 1, d[i + 1] / d[i] = ||b*_i||^2) and lam[i][j] = d[j + 1] * mu_{i,j}
     for j < i, all integers; every division below is exact.  Raises
-    ValueError on dependent rows.
+    ValueError on dependent rows.  lll_reduce builds the same rows lazily.
     """
     n = len(rows)
-    d = [1] + [0] * n
-    lam = [[0] * n for _ in range(n)]
+    d, lam = [1] + [0] * n, [[0] * n for _ in range(n)]
     for i in range(n):
-        for j in range(i + 1):
-            u = _dot(rows[i], rows[j])
-            for k in range(j):
-                u, r = divmod(d[k + 1] * u - lam[i][k] * lam[j][k], d[k])
-                if r:
-                    raise ArithmeticError(_INEXACT)
-            if j < i:
-                lam[i][j] = u
-            elif u <= 0:
-                raise ValueError("dependent rows in LLL input")
-            else:
-                d[i + 1] = u
+        _gso_row(rows, d, lam, i)
     return d, lam
 
 
@@ -97,6 +102,9 @@ def lll_reduce(rows, beat=None):
 
     Works entirely on the integers d_i (Gram determinants of leading blocks)
     and lambda[i][j] = d_{j+1} * mu_{i,j}; every division below is exact.
+    Row k's data is computed when k first exceeds k_max and a swap updates
+    lambda in rows k+1..k_max only (Cohen, Alg. 2.6.7), so a reduction that
+    `beat` cuts short never builds the rows it does not reach.
 
     Returns a new list of rows spanning the same lattice, LLL-reduced with
     parameter delta = 3/4.  Raises ValueError on dependent rows.
@@ -106,6 +114,8 @@ def lll_reduce(rows, beat=None):
     entry when an input row qualifies, and right after each swap at k = 1,
     when the new first row qualifies (d[1] = ||b_0||^2; only that swap
     changes b_0).  Otherwise the result is the same as without `beat`.
+    A dependent row raises when reached, so with `beat` a call may return
+    None (still a true "a vector <= beat exists") before a later one.
     """
     if beat is not None and min(_dot(row, row) for row in rows) <= beat:
         return None
@@ -113,9 +123,13 @@ def lll_reduce(rows, beat=None):
     n = len(b)
     if n == 1:
         return b
-    d, lam = integral_gso(b)
-    k = 1
+    d, lam = [1] + [0] * n, [[0] * n for _ in range(n)]
+    _gso_row(b, d, lam, 0)
+    k, k_max = 1, 0
     while k < n:
+        if k > k_max:
+            k_max = k
+            _gso_row(b, d, lam, k)
         row = b[k]
         lam_k = lam[k]
         # size-reduce row k against rows k-1, ..., 0 (|mu_{k,l}| <= 1/2,
@@ -145,7 +159,7 @@ def lll_reduce(rows, beat=None):
         new_dk, r = divmod(d_lo * d_hi + x * x, dl)
         if r:
             raise ArithmeticError(_INEXACT)
-        for i in range(k + 1, n):
+        for i in range(k + 1, k_max + 1):
             lam_i = lam[i]
             old_hi = lam_i[l]
             old_lo = lam_i[k]

@@ -51,7 +51,8 @@ def shortest_vector(
     as soon as the lattice is known to hold a nonzero vector of squared
     norm <= beat: inside LLL when an input row or a new first row
     qualifies, else at the first such vector the enumeration reaches.
-    Zero or dependent rows raise InputError.  The rows are integers: a
+    Zero or dependent rows raise InputError once LLL reaches them, so with
+    `beat` a None, still true, can come first.  The rows are integers: a
     rational basis is scaled to integers first, since shortest vectors
     commute with uniform scaling.
     """

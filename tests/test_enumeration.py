@@ -254,6 +254,29 @@ class TestLLLReference:
             rows, beat=beat
         )
 
+    @pytest.mark.parametrize(
+        "mode,n,d",
+        [("korobov", n, d) for d in (3, 4, 5, 6) for n in (31, 61)]
+        + [("korobov", 503, 6), ("exhaustive", 13, 3), ("exhaustive", 7, 4)],
+    )
+    def test_search_stream_equals_reference(self, monkeypatch, mode, n, d):
+        # every (rows, beat) pair korobov_search hands LLL, the winner's
+        # re-verification included, against the eager reference
+        stream = []
+        original = kernels.lll_reduce
+
+        def recording(rows, beat=None):
+            reduced = original(rows, beat=beat)
+            stream.append(([list(row) for row in rows], beat, reduced))
+            return reduced
+
+        monkeypatch.setattr(kernels, "lll_reduce", recording)
+        r = constructions.korobov_search(n, d, mode)
+        assert len(stream) == r.n_searched + 1
+        assert any(reduced is None for _, _, reduced in stream)
+        for rows, beat, reduced in stream:
+            assert reduced == oracles.lll_reduce_reference(rows, beat=beat)
+
 
 class TestGeneratorSearch:
     @pytest.mark.parametrize("mode", ["korobov", "exhaustive"])

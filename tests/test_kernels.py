@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import latdisc
 import oracles
-from latdisc import kernels
+from latdisc import constructions, kernels
 
 # Every test that takes `mod` runs once, on the kernels module, under the id
 # "pure"; the ids keep these tests' names stable.  The box scans live in the
@@ -89,8 +89,8 @@ class TestLLL:
         [
             [[1, 0], [0, F(1, 2)]],
             [[4, 0], [-6, F(5, 2)]],
-            [[-2, -4, 3], [-1, -2, -4], [4, -6, F(3, 2)]],
-            [[4, -1, -2], [2, -2, -2], [-4, F(-5, 2), -6]],
+            [[-1, F(5, 2), -6], [0, 1, 2], [-1, -3, -6]],
+            [[0, 6, -6, 4], [0, -4, 0, -4], [-6, -2, 0, F(5, 2)], [0, 4, -5, -3]],
         ],
         ids=["gso", "swap-d", "swap-lambda-k", "swap-lambda-k-1"],
     )
@@ -102,6 +102,57 @@ class TestLLL:
         # truncated quotient through
         with pytest.raises(ArithmeticError, match="inexact division"):
             kernels.lll_reduce(rows)
+
+    @pytest.mark.parametrize("dependent", [[0, 8, 0, 0], [0, 0, 0, 0]], ids=["sum", "zero"])
+    @pytest.mark.parametrize("at", [0, 1, 2, 3], ids=["first", "second", "third", "last"])
+    def test_dependent_row_raises_wherever_it_sits(self, dependent, at):
+        # (0, 8, 0, 0) = a - 2b + c for the three independent rows below;
+        # without `beat` the reduction reaches every row, so it always raises
+        rows = [[2, 1, 0, -1], [1, -3, 2, 0], [0, 1, 4, 1]]
+        rows.insert(at, dependent)
+        with pytest.raises(ValueError, match="dependent rows"):
+            kernels.lll_reduce(rows)
+
+    def test_beat_may_return_before_a_dependent_row(self):
+        # the last row is the sum of the others; the swap at k = 1 brings
+        # (-1, 0, 0) first, and with beat = 1 that None comes before row 3
+        # is reached: still true, the lattice holds a vector of norm 1
+        rows = [[3, 1, 0], [2, 1, 0], [0, 0, 7], [5, 2, 7]]
+        assert kernels.lll_reduce(rows, beat=1) is None
+        with pytest.raises(ValueError, match="dependent rows"):
+            kernels.lll_reduce(rows)
+
+    @staticmethod
+    def _count_gso_rows(monkeypatch):
+        rows_built = []
+        original = kernels._gso_row
+
+        def counting(b, d, lam, i):
+            rows_built.append(i)
+            return original(b, d, lam, i)
+
+        monkeypatch.setattr(kernels, "_gso_row", counting)
+        return rows_built
+
+    @pytest.mark.parametrize("n", [2, 4, 7])
+    def test_unaborted_reduction_builds_each_row_once(self, monkeypatch, n):
+        rng = random.Random(n)
+        rows = [[rng.randint(-50, 50) for _ in range(n)] for _ in range(n)]
+        rows_built = self._count_gso_rows(monkeypatch)
+        reduced = kernels.lll_reduce(rows)
+        assert rows_built == list(range(n))
+        assert oracles.lll_certificate(rows, reduced)["same_lattice"]
+
+    def test_aborted_reduction_builds_fewer_rows(self, monkeypatch):
+        # the korobov d = 6 dual basis of a = 8 modulo 503, reduced with the
+        # search's incumbent norm 7 at that generator: the swap at k = 1
+        # that aborts comes with rows 0..3 built, so rows 4 and 5 never are
+        g = constructions._korobov_generator(503, 8, 6)
+        rows = constructions._dual_rows_unit_leading(503, g)
+        rows_built = self._count_gso_rows(monkeypatch)
+        assert kernels.lll_reduce(rows, beat=7) is None
+        assert rows_built == [0, 1, 2, 3]
+        assert oracles.lll_reduce_reference(rows, beat=7) is None
 
     def test_input_not_mutated(self):
         rows = [[3, 5], [4, 9]]
