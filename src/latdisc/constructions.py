@@ -104,21 +104,33 @@ def _is_prime(n: int) -> bool:
     return True
 
 
+def _unit_row(block, n: int, c: int, i: int, d: int) -> list[int]:
+    # e_i - c e_0 minus the vector of the Gauss block [u, v] that one Babai
+    # nearest-plane step finds near (-c, 0): round against v* first, then
+    # against u.  The block's determinant is +-n, so with U = ||u||^2
+    # and P = <u, v> the integer vector U v* = U v - P u has squared norm
+    # U n^2, and both roundings are exact integer ones
+    (u0, u1), (v0, v1) = block[0][:2], block[1][:2]
+    nu, p = u0 * u0 + u1 * u1, u0 * v0 + u1 * v1
+    b = kernels._round_div(-c * (nu * v0 - p * u0), n * n)
+    a = kernels._round_div(-c * u0 - b * p, nu)
+    row = [0] * d
+    row[0], row[1], row[i] = -c - b * v0 - a * u0, -b * v1 - a * u1, 1
+    return row
+
+
 def _dual_rows_unit_leading(n: int, g) -> list[list[int]]:
     # basis of { h in Z^d : <h, g> == 0 mod n }, valid because g[0] == 1
     # pins h[0] modulo n once the other coordinates are chosen; the first
-    # two rows, the dual of (1, g[1]) padded with zeros, come Gauss-reduced
-    # (d = len(g) >= 2)
+    # two rows, the dual of (1, g[1]) padded with zeros, come Gauss-reduced,
+    # and each row e_i - g[i] e_0 after them comes reduced against that
+    # block by _unit_row (d = len(g) >= 2)
     d = len(g)
     rows = [
         row + [0] * (d - 2)
         for row in kernels.gauss_reduce_2d([[n, 0], [-g[1], 1]])
     ]
-    for i in range(2, d):
-        row = [0] * d
-        row[0] = -g[i]
-        row[i] = 1
-        rows.append(row)
+    rows += [_unit_row(rows, n, g[i], i, d) for i in range(2, d)]
     return rows
 
 
@@ -143,6 +155,7 @@ def _dual_bases(n: int, d: int, mode: str):
     # generators, and once the prefix's shortest vector is no longer than
     # the incumbent it rejects the whole block at entry.  At d = 2 both
     # modes scan the same generators (1, a), each dual basis that block.
+    # The appended row comes reduced against the block by _unit_row.
     if mode == "korobov" or d == 2:
         for g in _generators(n, d, mode):
             yield g, _dual_rows_unit_leading(n, g)
@@ -150,7 +163,7 @@ def _dual_bases(n: int, d: int, mode: str):
     for prefix in _generators(n, d - 1, mode):
         head = [row + [0] for row in _dual_rows_unit_leading(n, prefix)]
         for a in range(1, n):
-            yield [*prefix, a], head + [[-a] + [0] * (d - 2) + [1]]
+            yield [*prefix, a], head + [_unit_row(head, n, a, d - 1, d)]
 
 
 @dataclass(frozen=True)
@@ -209,7 +222,10 @@ def korobov_search(
     gives up at entry or after a swap that brings such a vector to the
     front.  Every dual basis starts from the Gauss-reduced dual basis of
     the generator's first two coordinates (1, c), so LLL does not redo
-    Euclid's algorithm on (n, c) through d x d swaps.  In exhaustive mode
+    Euclid's algorithm on (n, c) through d x d swaps, and each unit row
+    e_i - g_i e_0 after that block comes reduced against it by one Babai
+    nearest-plane step, so the entry check sees the short vectors that
+    step finds and rejects most exhaustive candidates.  In exhaustive mode
     with d = 3 that block is the whole basis of the prefix (1, a_2), shared
     by its n - 1 generators (component by component, as in Sloan and
     Reztsov), so a prefix whose shortest dual vector is already no longer

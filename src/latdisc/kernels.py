@@ -5,8 +5,10 @@ integral Gram-Schmidt data (LLL builds a row as it first reaches it, the
 enumeration takes all rows), and the exact shortest-vector enumeration;
 every shortest-vector computation is lll_reduce then shortest_vectors.
 The 2d Gauss reduction gives the generator search's dual bases a reduced
-leading block before LLL.  Everything works on plain Python ints (arbitrary
-precision, no overflow by construction) and is deterministic.
+leading block before LLL; the search reduces each later unit row against
+that block too, so LLL's entry check often rejects a basis outright.
+Everything works on plain Python ints (arbitrary precision, no overflow by
+construction) and is deterministic.
 
 All functions take and return lists of ints.  None of them knows about
 Fractions or lattices; callers scale rational bases to integers first.

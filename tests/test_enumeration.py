@@ -10,7 +10,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -137,6 +137,26 @@ def _raw_dual_rows(n, g):
     for i in range(1, d):
         rows.append([-g[i] if j == 0 else int(j == i) for j in range(d)])
     return rows
+
+
+_PRIMES = [p for p in range(2, 10**4) if constructions._is_prime(p)]
+
+
+@st.composite
+def unit_row_cases(draw):
+    # (n, g1, c): a prime modulus up to 10^4, the generator's second
+    # coordinate and the residue whose unit row is reduced
+    n = draw(st.sampled_from(_PRIMES))
+    return n, draw(st.integers(1, n - 1)), draw(st.integers(0, n - 1))
+
+
+def _assert_babai_reduced(t, u, v, n):
+    """t is reduced against the Gauss block [u, v] (determinant +-n) by one
+    Babai nearest-plane step: 2|<t, v*>| <= ||v*||^2 and 2|<t, u>| <= ||u||^2,
+    the first scaled to integers by ||u||^2, as ||v*||^2 = n^2 / ||u||^2."""
+    nu, p = dot(u, u), dot(u, v)
+    assert 2 * abs(dot(t, u)) <= nu
+    assert 2 * abs(dot(t, v) * nu - p * dot(t, u)) <= n * n
 
 
 def _anchored_beat(rows, full, anchor):
@@ -319,8 +339,9 @@ class TestGeneratorSearch:
     )
     def test_dual_bases_span_the_dual(self, n, d, mode):
         # the bases come in _generators order, each spans the same lattice
-        # as the generator's raw unit-leading dual basis, and each starts
-        # with a Gauss-reduced 2d block
+        # as the generator's raw unit-leading dual basis, each starts with a
+        # Gauss-reduced 2d block, and every row after it is a unit row
+        # reduced against that block
         pairs = list(constructions._dual_bases(n, d, mode))
         assert [g for g, _ in pairs] == list(constructions._generators(n, d, mode))
         for g, rows in pairs:
@@ -329,6 +350,26 @@ class TestGeneratorSearch:
             u, v = rows[0], rows[1]
             assert dot(u, u) <= dot(v, v)
             assert abs(2 * dot(u, v)) <= dot(u, u)
+            for i in range(2, d):
+                assert rows[i][2:] == [int(j == i) for j in range(2, d)]
+                _assert_babai_reduced(rows[i][:2], u[:2], v[:2], n)
+
+    @given(unit_row_cases())
+    @example((2, 1, 0))
+    @example((2, 1, 1))
+    @example((3, 1, 2))
+    @example((3, 2, 1))
+    @settings(max_examples=300, deadline=None)
+    def test_unit_row_is_babai_reduced(self, case):
+        # the row e_2 - c e_0 reduced against the Gauss block of (1, g1)
+        # stays in its coset of the block's lattice and within the bounds
+        n, g1, c = case
+        u, v = kernels.gauss_reduce_2d([[n, 0], [-g1, 1]])
+        row = constructions._unit_row([u, v], n, c, 2, 3)
+        t = row[:2]
+        assert row[2] == 1
+        assert (t[0] + g1 * t[1] + c) % n == 0
+        _assert_babai_reduced(t, u, v, n)
 
     @pytest.mark.parametrize(
         "mode,n,d",

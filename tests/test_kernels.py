@@ -144,15 +144,50 @@ class TestLLL:
         assert oracles.lll_certificate(rows, reduced)["same_lattice"]
 
     def test_aborted_reduction_builds_fewer_rows(self, monkeypatch):
-        # the korobov d = 6 dual basis of a = 8 modulo 503, reduced with the
-        # search's incumbent norm 7 at that generator: the swap at k = 1
-        # that aborts comes with rows 0..3 built, so rows 4 and 5 never are
-        g = constructions._korobov_generator(503, 8, 6)
-        rows = constructions._dual_rows_unit_leading(503, g)
+        # the korobov d = 6 dual basis of a = 8 modulo 503 with its unit
+        # rows e_i - g[i] e_0 unreduced, reduced with the search's incumbent
+        # norm 7 at that generator: the swap at k = 1 that aborts comes with
+        # rows 0..3 built, so rows 4 and 5 never are
+        rows = [
+            [-8, 1, 0, 0, 0, 0],
+            [7, 62, 0, 0, 0, 0],
+            [-64, 0, 1, 0, 0, 0],
+            [-9, 0, 0, 1, 0, 0],
+            [-72, 0, 0, 0, 1, 0],
+            [-73, 0, 0, 0, 0, 1],
+        ]
         rows_built = self._count_gso_rows(monkeypatch)
         assert kernels.lll_reduce(rows, beat=7) is None
         assert rows_built == [0, 1, 2, 3]
         assert oracles.lll_reduce_reference(rows, beat=7) is None
+        # the search's own basis of that generator has its unit rows
+        # reduced against the Gauss block: (-1, -1, 0, 1, 0, 0) of norm 3
+        # is among them, so LLL rejects it at entry with no row built
+        g = constructions._korobov_generator(503, 8, 6)
+        rows_built.clear()
+        assert kernels.lll_reduce(constructions._dual_rows_unit_leading(503, g), beat=7) is None
+        assert rows_built == []
+
+    @pytest.mark.parametrize("n,d,entry", [(61, 3, 2855), (31, 4, 23402)])
+    def test_search_rejects_most_exhaustive_bases_at_entry(self, monkeypatch, n, d, entry):
+        # the unit rows come reduced against the Gauss block, so LLL's entry
+        # check rejects most exhaustive candidates before it builds a row
+        # (handed the raw rows e_i - g[i] e_0 it rejects 1225 and 8118)
+        rows_built = self._count_gso_rows(monkeypatch)
+        original = kernels.lll_reduce
+        at_entry = []
+
+        def recording(rows, beat=None):
+            before = len(rows_built)
+            reduced = original(rows, beat=beat)
+            if reduced is None and len(rows_built) == before:
+                at_entry.append(1)
+            return reduced
+
+        monkeypatch.setattr(kernels, "lll_reduce", recording)
+        r = constructions.korobov_search(n, d, "exhaustive")
+        assert r.n_searched == (n - 1) ** (d - 1)
+        assert len(at_entry) == entry
 
     def test_input_not_mutated(self):
         rows = [[3, 5], [4, 9]]
