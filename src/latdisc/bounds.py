@@ -96,8 +96,8 @@ def minkowski_sigma_check(
         raise InputError("dimension must be positive")
     gamma = gamma_half_integer(d + 2)
     s = 1 if gamma.sqrt_pi else 0
-    lhs = Fraction(4) ** d * gamma.rational**2 * Fraction(n_points) ** 2
-    rhs_rational = Fraction(lam_sq) ** d
+    lhs = 4**d * gamma.rational**2 * n_points**2
+    rhs_rational = lam_sq**d
     e = d - s
     if e == 0:
         return rhs_rational <= lhs
@@ -192,7 +192,7 @@ def verify_lattice(
     certified = max(slab.implied_lower_bound, planes.implied_lower_bound)
 
     gamma = gamma_half_integer(d + 2)
-    n_sq = Fraction(n) ** 2
+    n_sq = n**2
 
     def mink_over_root_sq(dg: int) -> Bounds:
         # (mink_d N^{-1/d})^2 = (pi/4) Gamma^{-2/d} / N^{2/d}

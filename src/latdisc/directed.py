@@ -12,14 +12,14 @@ Precision arguments count significant decimal digits.  The package default
 is 50 and anything below 30 is refused: renderings are meant to make the
 certified comparisons reproducible, not to look approximately right.
 Anything above 1600 is refused too: that is where certified comparisons stop
-refining, and far beyond it decimal rendering would hit CPython's limit on
-int/str conversion.
+refining.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from decimal import MAX_EMAX, MIN_EMIN, ROUND_CEILING, ROUND_FLOOR, Context, Decimal
 from fractions import Fraction
 from functools import lru_cache
 
@@ -100,14 +100,6 @@ def integer_nth_root(v: int, n: int) -> int:
     while (x + 1) ** n <= v:
         x += 1
     return x
-
-
-def floor_sqrt(x: Fraction) -> int:
-    """floor(sqrt(x)) for rational x >= 0, exactly."""
-    x = Fraction(x)
-    if x < 0:
-        raise InputError("floor_sqrt of a negative value")
-    return math.isqrt(x.numerator * x.denominator) // x.denominator
 
 
 def sqrt_bounds(x, digits: int = DEFAULT_DIGITS) -> Bounds:
@@ -218,28 +210,14 @@ def certify_le(make_a, make_b, digits: int = DEFAULT_DIGITS) -> bool:
 # decimal rendering
 # ---------------------------------------------------------------------------
 
-def _ge_pow10(x: Fraction, e: int) -> bool:
-    if e >= 0:
-        return x.numerator >= x.denominator * 10**e
-    return x.numerator * 10**-e >= x.denominator
-
-
-def _floor_log10(x: Fraction) -> int:
-    e = len(str(x.numerator)) - len(str(x.denominator))
-    while not _ge_pow10(x, e):
-        e -= 1
-    while _ge_pow10(x, e + 1):
-        e += 1
-    return e
-
-
 def decimal_str(x, sig: int = DEFAULT_DIGITS, direction: str = "down") -> str:
     """Plain-decimal rendering of a rational with `sig` significant digits,
     rounded toward -infinity ("down") or +infinity ("up").
 
     The direction refers to the rendered value versus the true value, so a
     lower bound stays a lower bound after rendering with "down" and an upper
-    bound stays one with "up".
+    bound stays one with "up".  `decimal` rounds the one division correctly
+    in either direction; quantize then pads exact quotients to `sig` digits.
     """
     if sig < 1:
         raise InputError("need at least one significant digit")
@@ -248,30 +226,8 @@ def decimal_str(x, sig: int = DEFAULT_DIGITS, direction: str = "down") -> str:
     x = Fraction(x)
     if x == 0:
         return "0"
-    negative = x < 0
-    ax = -x if negative else x
-    e = _floor_log10(ax)
-    p = sig - 1 - e
-    if p >= 0:
-        t = ax.numerator * 10**p
-        den = ax.denominator
-    else:
-        t = ax.numerator
-        den = ax.denominator * 10**-p
-    magnitude_up = (direction == "up") != negative
-    if magnitude_up:
-        m = -((-t) // den)
-    else:
-        m = t // den
-    if m == 10**sig:
-        m //= 10
-        e += 1
-    digits = str(m)
-    if e >= sig - 1:
-        body = digits + "0" * (e - sig + 1)
-    elif e >= 0:
-        body = digits[: e + 1] + "." + digits[e + 1 :]
-    else:
-        body = "0." + "0" * (-e - 1) + digits
-    return "-" + body if negative else body
-
+    rounding = ROUND_FLOOR if direction == "down" else ROUND_CEILING
+    ctx = Context(prec=sig, rounding=rounding, Emax=MAX_EMAX, Emin=MIN_EMIN)
+    q = ctx.divide(Decimal(x.numerator), Decimal(x.denominator))
+    exponent = Decimal((0, (1,), q.adjusted() - sig + 1))
+    return f"{q.quantize(exponent, context=ctx):f}"

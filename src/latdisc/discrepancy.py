@@ -43,7 +43,7 @@ from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
-from math import gcd
+from math import gcd, isqrt
 
 from . import directed, kernels, reduction, volume
 from .errors import InputError, InvariantViolationError
@@ -174,7 +174,7 @@ def hyperplane_count_certificate(
     # pigeonhole: (max_count/N)^2 * d >= sigma^2, exactly
     if max_count**2 * d * lam_sq < n**2:
         raise InvariantViolationError("pigeonhole bound failed (bug)")
-    limit = directed.floor_sqrt(d * lam_sq) + 1
+    limit = isqrt(d * lam_sq) + 1
     if len(counts) > limit:
         raise InvariantViolationError(
             f"{len(counts)} occupied planes exceed the spacing limit {limit}"

@@ -21,7 +21,9 @@ enters the tree.  The enumeration is exact on any basis of the lattice;
 LLL reduction only makes its tree smaller, so its output is not re-checked
 at run time.  The LLL inequalities are certified by the test suite's
 oracle (`lll_certificate` in tests/oracles.py).  Squared norms are the
-working currency throughout, which keeps every comparison exact.
+working currency throughout and stay ints, the shortest dual norm of
+SpectralResult included, which keeps every comparison exact; the one
+Fraction is sigma^2 = 1 / ||h||^2.
 """
 
 from __future__ import annotations
@@ -75,12 +77,13 @@ def shortest_vector(
 class SpectralResult:
     """Spectral test of a lattice, exact in squared form.
 
-    sigma_sq is exactly 1 / ||h||^2 for the shortest dual vector h;
-    sigma_decimal renders sigma rounded down at the requested precision.
+    shortest_dual_norm_sq is the int ||h||^2 for the shortest dual vector
+    h and sigma_sq exactly the Fraction 1 / ||h||^2; sigma_decimal renders
+    sigma rounded down at the requested precision.
     """
 
     shortest_dual_vector: tuple
-    shortest_dual_norm_sq: Fraction
+    shortest_dual_norm_sq: int
     sigma_sq: Fraction
     sigma_decimal: str
     digits: int
@@ -101,9 +104,8 @@ def spectral_test(
         raise CapExceededError(
             f"shortest vector in dimension {lat.dim} exceeds cap {svp_cap}"
         )
-    vec, norm = shortest_vector(lattice_mod.dual(lat))
-    norm_sq = Fraction(norm)
-    sigma_sq = 1 / norm_sq
+    vec, norm_sq = shortest_vector(lattice_mod.dual(lat))
+    sigma_sq = Fraction(1, norm_sq)
     sigma_lo = directed.sqrt_bounds(sigma_sq, digits).lo
     return SpectralResult(
         shortest_dual_vector=vec,

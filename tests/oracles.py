@@ -21,6 +21,9 @@
 - Small exact helpers no command needs: gamma_bounds, the enclosure of a
   GammaValue, point_set, a PointSet built from arbitrary rational points,
   and nodes, the Fraction tuples of a PointSet.
+- Directed decimals: decimal_str_reference locates the leading digit and
+  carries the rounding in integers, against the one correctly rounded
+  `decimal` division of directed.decimal_str.
 
 Only the tests use them, so they live with the tests rather than in the
 package.
@@ -153,7 +156,7 @@ def _ceil_sqrt(x) -> int:
     x = Fraction(x)
     if x < 0:
         raise InputError("negative radicand")
-    s = directed.floor_sqrt(x)
+    s = isqrt(x.numerator * x.denominator) // x.denominator
     return s if s * s >= x else s + 1
 
 
@@ -293,6 +296,66 @@ def gamma_bounds(gamma, digits: int) -> directed.Bounds:
         return directed.exact(gamma.rational)
     root = directed.root_of_bounds(directed.pi_bounds(digits), 2, digits)
     return directed.scale(root, gamma.rational)
+
+
+def _ge_pow10(x: Fraction, e: int) -> bool:
+    if e >= 0:
+        return x.numerator >= x.denominator * 10**e
+    return x.numerator * 10**-e >= x.denominator
+
+
+def _floor_log10(x: Fraction) -> int:
+    e = len(str(x.numerator)) - len(str(x.denominator))
+    while not _ge_pow10(x, e):
+        e -= 1
+    while _ge_pow10(x, e + 1):
+        e += 1
+    return e
+
+
+def decimal_str_reference(
+    x, sig: int = directed.DEFAULT_DIGITS, direction: str = "down"
+) -> str:
+    """Plain-decimal rendering of a rational with `sig` significant digits,
+    rounded toward -infinity ("down") or +infinity ("up").
+
+    The direction refers to the rendered value versus the true value, so a
+    lower bound stays a lower bound after rendering with "down" and an upper
+    bound stays one with "up".
+    """
+    if sig < 1:
+        raise InputError("need at least one significant digit")
+    if direction not in ("down", "up"):
+        raise InputError("direction must be 'down' or 'up'")
+    x = Fraction(x)
+    if x == 0:
+        return "0"
+    negative = x < 0
+    ax = -x if negative else x
+    e = _floor_log10(ax)
+    p = sig - 1 - e
+    if p >= 0:
+        t = ax.numerator * 10**p
+        den = ax.denominator
+    else:
+        t = ax.numerator
+        den = ax.denominator * 10**-p
+    magnitude_up = (direction == "up") != negative
+    if magnitude_up:
+        m = -((-t) // den)
+    else:
+        m = t // den
+    if m == 10**sig:
+        m //= 10
+        e += 1
+    digits = str(m)
+    if e >= sig - 1:
+        body = digits + "0" * (e - sig + 1)
+    elif e >= 0:
+        body = digits[: e + 1] + "." + digits[e + 1 :]
+    else:
+        body = "0." + "0" * (-e - 1) + digits
+    return "-" + body if negative else body
 
 
 def lll_certificate(rows, reduced) -> dict[str, bool]:

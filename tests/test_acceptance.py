@@ -199,7 +199,7 @@ class TestAcceptance:
         ]
         extra += random_corpus
         for lat in extra:
-            lam_sq = int(reduction.spectral_test(lat).shortest_dual_norm_sq)
+            lam_sq = reduction.spectral_test(lat).shortest_dual_norm_sq
             if not bounds.minkowski_sigma_check(lat.dim, lat.n_points, lam_sq):
                 failures.append((lat.spec_string(),))
         total = len(rank1_corpus) + len(extra)

@@ -168,7 +168,7 @@ class TestMinkowskiSigmaCheck:
         for lat in cases:
             res = reduction.spectral_test(lat)
             assert bounds.minkowski_sigma_check(
-                lat.dim, lat.n_points, int(res.shortest_dual_norm_sq)
+                lat.dim, lat.n_points, res.shortest_dual_norm_sq
             )
 
 

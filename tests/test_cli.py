@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, exit codes, and stable output."""
 
+import contextlib
 import csv
 import dataclasses
 import hashlib
@@ -11,8 +12,11 @@ import sys
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import latdisc
 from latdisc import __version__, bounds, cli, directed, lattice, reduction, volume
@@ -356,6 +360,30 @@ class TestCertifyVerifyOutput:
         estimate = certified["result"]["estimate"]
         assert report["result"]["jn_upper"] == estimate["upper_bound_decimal"]
         assert report["result"]["jn_upper_sq"] == estimate["upper_bound_sq"]
+
+
+class TestDirectedDecimalOutput:
+    """Directed decimals at both ends of the precision range, pinned to the
+    SHA-256 of the output printed while decimal_str located the leading
+    digit and carried the rounding by hand: 1600 digits of sigma, of the
+    Minkowski floor and of the upper bound, and 30 digits in CSV."""
+
+    DIGESTS = {
+        "spectral --family korobov --n 1009 --a 76 --d 3 --digits 1600":
+            "9a7cfdd2593ef51ba92d478a420996b4e06b3d127ea1ce6182666bbe65175323",
+        "verify --family fibonacci --m 16 --digits 30 --format csv":
+            "7e44378e2eb39324e65a3307995ce790a0d5da87a1fcb1e948d27be9ff84b9fa",
+        "verify --family bad --m 5 --d 3 --digits 1600":
+            "7a44b395bd04436f1b06112620304c44a0cdde11c05ffe910bdef00d27761e56",
+        "search --n 101 --d 3 --digits 1600":
+            "117e13e5d777cb5fab7d8a11d0b282aa76ca9989b81b872611f63db3a741cedd",
+    }
+
+    @pytest.mark.parametrize("args", sorted(DIGESTS))
+    def test_output_unchanged(self, capsys, args):
+        code, out = run_cli(capsys, *args.split())
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == self.DIGESTS[args]
 
 
 class TestLatticeFactsOnce:
@@ -733,6 +761,153 @@ class TestErrorPaths:
         with pytest.raises(SystemExit) as exc:
             cli.main(["construct", "--family", "mystery"])
         assert exc.value.code == 2
+
+
+# the grammar the exit-code contract draws from: the flags each command
+# takes, as (flag, values it accepts, values it refuses).  A call is built
+# from accepted values, then at most one fault is put in.
+_SOURCES = {
+    "fibonacci": [("--m", ["2", "3", "13"], ["-1", "0", "1"])],
+    "scaled": [("--m", ["2", "3", "13"], ["-1", "0"]),
+               ("--d", ["1", "3", "13"], ["-1", "0"])],
+    "bad": [("--m", ["1", "2", "13"], ["-1", "0"]),
+            ("--d", ["2", "3", "25"], ["-1", "0", "1"])],
+    "korobov": [("--n", ["5", "101", str(2**63)], ["-7", "0"]),
+                ("--a", ["2", "76"], ["-3", "0"]),
+                ("--d", ["1", "3", "13"], ["-1", "0"])],
+    "rank1": [("--n", ["5", "13", "2001", str(2**63)], ["-7", "0"]),
+              ("--generator", ["1,3", "1", "1, 5", "1,2,4"],
+               ["", "1,,3", "1,x", ","])],
+}
+_DIGITS = ("--digits", ["30", "50"], ["29", "1601"])
+_COMMAND_FLAGS = {
+    "construct": [],
+    "spectral": [_DIGITS],
+    "points": [("--format", ["json", "csv"], [])],
+    "certify": [_DIGITS, ("--budget", ["0", "1", "50"], ["-1"]),
+                ("--seed", ["-1", "7", str(10**23)], [])],
+    "search": [("--n", ["2", "5", "13"], ["-7", "0", "1", "9"]),
+               ("--d", ["2", "3", "4", "7"], ["-1", "0", "1"]),
+               ("--mode", ["korobov", "exhaustive"], []), _DIGITS,
+               ("--format", ["json", "csv"], [])],
+    "verify": [_DIGITS, ("--format", ["json", "csv"], [])],
+}
+_DOCUMENTS = [
+    {"kind": "rank1", "dim": 2, "n": 5, "generator": [1, 3]},
+    {"kind": "rank1", "dim": 3, "n": 10**30, "generator": [1, 10**30, 7]},
+    {"kind": "rank1", "dim": 1, "n": 2000, "generator": [1]},
+    {"kind": "basis", "dim": 2, "n": 5, "basis": [["1/5", "3/5"], [0, 1]]},
+    {"kind": "basis", "dim": 3, "n": 12, "basis": [
+        ["1/12", "-19/12", "19/12"], ["-1/12", "31/12", "-19/12"], [0, -1, 1]]},
+]
+_BAD_ENTRIES = ["1/2", "1/0", "1e3", 1.5, True, None, "x", [1], 0]
+
+
+@st.composite
+def _lattice_document(draw, faulty):
+    """A valid interchange document as bytes, or with one fault: a field set
+    to a bad value or dropped, one bad entry, or bytes that are not a JSON
+    object in UTF-8."""
+    doc = json.loads(json.dumps(draw(st.sampled_from(_DOCUMENTS))))
+    fault = faulty and draw(st.sampled_from(["field", "field", "entry", "text"]))
+    if fault == "field":
+        key = draw(st.sampled_from(sorted(doc)))
+        bad = draw(st.sampled_from(["drop", "other", 0, 4, "2", None, 1.5, 7]))
+        if bad == "drop":
+            doc.pop(key, None)
+        else:
+            doc[key] = bad
+    elif fault == "entry":
+        rows = doc["basis"] if doc["kind"] == "basis" else [doc["generator"]]
+        row = draw(st.sampled_from(rows))
+        row[draw(st.integers(0, len(row) - 1))] = draw(st.sampled_from(_BAD_ENTRIES))
+    elif fault == "text":
+        return draw(st.sampled_from(
+            [b"[]", b"3", b'"x"', b"{", b"", b"[" * 2000, b"\xff\xfe{"]
+        ))
+    return json.dumps(doc).encode()
+
+
+@st.composite
+def _argv(draw):
+    """(argv, stdin bytes, LATDISC_PRECISION) for one call; budgets stay at
+    most 50 and the caps at --cap 2000 and --svp-cap 6, so each call takes
+    milliseconds."""
+    command = draw(st.sampled_from(list(_COMMAND_FLAGS)))
+    argv, stdin, slots = [command], b"", []
+    fault = draw(st.sampled_from(
+        ["none", "refused", "refused", "omitted", "unparsed", "environment"]
+    ))
+    if command != "search":
+        source = draw(st.sampled_from(["in", "in", "in", *_SOURCES]))
+        if source == "in":
+            argv += ["--in", "-"]
+            if draw(st.booleans()):
+                fault = "none"  # the document's instead
+                stdin = draw(_lattice_document(True))
+            else:
+                stdin = draw(_lattice_document(False))
+        else:
+            if source != "rank1":
+                slots.append(("--family", [source], []))
+            slots += _SOURCES[source]
+    slots += _COMMAND_FLAGS[command]
+    precision = draw(st.sampled_from(
+        ["29", "1601", "x"] if fault == "environment" else ["", "50"]
+    ))
+    if fault == "environment" and _DIGITS in slots:
+        slots.remove(_DIGITS)  # the variable is read only without --digits
+    target = draw(st.integers(0, len(slots) - 1)) if slots else None
+    for i, (flag, accepted, refused) in enumerate(slots):
+        values = accepted
+        if i == target and fault == "omitted":
+            continue
+        if i == target and fault == "refused" and refused:
+            values = refused
+        if i == target and fault == "unparsed":
+            values = ["x"]
+        argv += [flag, draw(st.sampled_from(values))]
+    if command in ("points", "certify", "verify"):
+        argv += ["--cap", "2000"]
+    if command not in ("construct", "points"):
+        argv += ["--svp-cap", "6"]
+    return argv, stdin, precision
+
+
+class TestExitCodeContract:
+    """Every input, good or bad, ends in a documented exit code: 0, 2 input,
+    3 cap, 4 invariant or failed check.  Nothing but argparse's SystemExit
+    escapes cli.main, and each failure explains itself on stderr."""
+
+    @given(_argv())
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_documented_exit_codes(self, call):
+        argv, stdin, precision = call
+        stdin = io.TextIOWrapper(io.BytesIO(stdin), encoding="utf-8")
+        out, err = io.StringIO(), io.StringIO()
+        with mock.patch.object(sys, "stdin", stdin), \
+                mock.patch.dict(os.environ, {"LATDISC_PRECISION": precision}), \
+                contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:
+                assert exc.code == 2
+                assert err.getvalue().startswith("usage: latdisc")
+                return
+        assert code in (0, 2, 3, 4)
+        lines = err.getvalue().splitlines()
+        if code == 0:
+            assert lines == []
+            if "csv" in argv:
+                rows = list(csv.reader(io.StringIO(out.getvalue())))
+                assert len({len(row) for row in rows}) == 1
+            else:
+                json.loads(out.getvalue())
+        elif code == 4 and argv[0] == "verify" and not lines:
+            assert out.getvalue()  # the report names the failed check
+        else:
+            assert len(lines) == 1 and lines[0].startswith("latdisc: ")
+            assert out.getvalue() == ""
 
 
 class TestConsoleScript:

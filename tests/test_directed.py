@@ -1,18 +1,19 @@
 """Directed rational enclosures: roots, pi, rendering, certified compares."""
 
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from latdisc import directed
 from latdisc.directed import (
     Bounds,
     certify_le,
     decimal_str,
     exact,
-    floor_sqrt,
     integer_nth_root,
     nth_root_bounds,
     pi_bounds,
@@ -33,12 +34,6 @@ class TestIntegerRoots:
     def test_integer_nth_root_floor(self, v, n):
         r = integer_nth_root(v, n)
         assert r**n <= v < (r + 1) ** n
-
-    @given(st.fractions(min_value=0, max_value=10**9))
-    @settings(max_examples=200, deadline=None)
-    def test_floor_sqrt(self, x):
-        r = floor_sqrt(x)
-        assert F(r) ** 2 <= x < F(r + 1) ** 2
 
 
 class TestRootBounds:
@@ -156,3 +151,36 @@ class TestDecimalRendering:
     def test_zero(self):
         assert decimal_str(F(0), 30, "down") == "0"
         assert decimal_str(F(0), 30, "up") == "0"
+
+
+class TestDecimalAgainstReference:
+    """decimal_str against the integer carry-and-format rendering it
+    replaced, digit for digit."""
+
+    SIGS = (1, 2, 30, 50, 51, 1600)
+
+    @staticmethod
+    def _values(rng):
+        """Random rationals from 10^-80 to 10^80, exact powers of ten, and
+        values just below and just above them, with both signs."""
+        for _ in range(400):
+            x = F(rng.randrange(1, 10 ** rng.randint(1, 60)),
+                  rng.randrange(1, 10 ** rng.randint(1, 60)))
+            yield x * F(10) ** rng.randint(-80, 80)
+        for k in range(-80, 81, 8):
+            ten_k = F(10) ** k
+            yield ten_k
+            yield ten_k * (1 - F(1, 10 ** rng.randint(1, 1700)))
+            yield ten_k * (1 + F(1, 10 ** rng.randint(1, 1700)))
+
+    def test_matches_reference(self):
+        rng = random.Random(2024)
+        compared = 0
+        for x in self._values(rng):
+            for value in (x, -x):
+                for sig in self.SIGS:
+                    for direction in ("down", "up"):
+                        expected = oracles.decimal_str_reference(value, sig, direction)
+                        assert decimal_str(value, sig, direction) == expected
+                        compared += 1
+        assert compared >= 10**4

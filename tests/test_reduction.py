@@ -113,7 +113,7 @@ class TestShortestVector:
             lat = lattice.from_rank1(n, g)
             res = reduction.spectral_test(lat)
             ovec, onorm = oracles.rank1_dual_shortest_bruteforce(
-                n, g, int(res.shortest_dual_norm_sq)
+                n, g, res.shortest_dual_norm_sq
             )
             assert res.shortest_dual_norm_sq == onorm
 
@@ -124,6 +124,8 @@ class TestSpectralTest:
         assert res.shortest_dual_vector == (1, -2)
         assert res.shortest_dual_norm_sq == 5
         assert res.sigma_sq == F(1, 5)
+        assert type(res.shortest_dual_norm_sq) is int
+        assert type(res.sigma_sq) is F
         assert res.sigma_decimal == SQRT_FIFTH_50
         assert res.digits == 50
 
