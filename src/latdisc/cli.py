@@ -18,7 +18,10 @@ points, search and verify also write CSV (--format csv), a header and rows.
 The points CSV is joined by hand, not through csv.writer: each value is
 digits with at most one '/', so no value ever needs quoting.  search and
 verify write one row through _write_csv, since a verify name can hold
-commas and quotes.
+commas and quotes.  JSON points is the envelope json.dumps prints with an
+empty points array, the rows spliced in, joined from the CSV's text table
+in the layout indent=2 prints.  A call registers all six subcommands, for
+the help and usage errors, but adds arguments only to the one it names.
 
 Exit codes: 0 success (for verify: every check passed), 2 malformed input,
 3 a configured cap was exceeded, 4 an invariant or verification check
@@ -37,7 +40,6 @@ import math
 import os
 import sys
 from itertools import repeat
-from operator import floordiv
 
 from . import __version__, bounds, constructions, directed, discrepancy
 from . import lattice as lattice_mod
@@ -124,38 +126,26 @@ def _add_caps(p: argparse.ArgumentParser, enum=True, svp=True) -> None:
         )
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="latdisc",
-        description=(
-            "exact spectral tests and certified isotropic-discrepancy "
-            "bounds for integration lattices"
-        ),
-    )
-    parser.add_argument(
-        "--version", action="version", version=f"%(prog)s {__version__}"
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("construct", help="build a lattice and emit its JSON")
+def _construct_args(p: argparse.ArgumentParser) -> None:
     _add_lattice_args(p)
     _add_output_args(p)
 
-    p = sub.add_parser("spectral", help="spectral test of a lattice")
+
+def _spectral_args(p: argparse.ArgumentParser) -> None:
     _add_lattice_args(p)
     _add_output_args(p)
     _add_precision_arg(p)
     _add_caps(p, enum=False)
 
-    p = sub.add_parser("points", help="enumerate the node set")
+
+def _points_args(p: argparse.ArgumentParser) -> None:
     _add_lattice_args(p)
     _add_output_args(p)
     _add_format_arg(p)
     _add_caps(p, svp=False)
 
-    p = sub.add_parser(
-        "certify", help="discrepancy certificates and randomized search"
-    )
+
+def _certify_args(p: argparse.ArgumentParser) -> None:
     _add_lattice_args(p)
     _add_output_args(p)
     _add_precision_arg(p)
@@ -168,7 +158,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--seed", type=int, default=0, help="search seed")
 
-    p = sub.add_parser("search", help="best rank-1 generator modulo a prime")
+
+def _search_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--n", type=int, required=True, help="prime modulus")
     p.add_argument("--d", type=int, required=True, help="dimension")
     p.add_argument(
@@ -179,7 +170,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_precision_arg(p)
     _add_caps(p, enum=False)
 
-    p = sub.add_parser("verify", help="certified bounds report")
+
+def _verify_args(p: argparse.ArgumentParser) -> None:
     _add_lattice_args(p)
     _add_output_args(p)
     _add_format_arg(p)
@@ -187,6 +179,28 @@ def build_parser() -> argparse.ArgumentParser:
     _add_caps(p)
     p.add_argument("--name", default=None, help="label used in the report")
 
+
+def build_parser(argv: list[str]) -> argparse.ArgumentParser:
+    """The parser for `argv`.  Every subcommand is registered, so the help,
+    the usage line and an invalid choice print in full, but only the one
+    `argv` names gets its arguments: the first token without a leading '-',
+    since no top-level option takes a value."""
+    parser = argparse.ArgumentParser(
+        prog="latdisc",
+        description=(
+            "exact spectral tests and certified isotropic-discrepancy "
+            "bounds for integration lattices"
+        ),
+    )
+    parser.add_argument(
+        "--version", action="version", version=f"%(prog)s {__version__}"
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    named = next((token for token in argv if not token.startswith("-")), None)
+    for name, (help_text, add_arguments, _) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        if name == named:
+            add_arguments(p)
     return parser
 
 
@@ -267,7 +281,7 @@ def _write_csv(args, header: list, row: list) -> None:
     _write_text(args, buf.getvalue())
 
 
-def _emit_json(args, command: str, parameters: dict, result) -> None:
+def _envelope(command: str, parameters: dict, result) -> str:
     envelope = {
         "tool": "latdisc",
         "version": __version__,
@@ -275,7 +289,7 @@ def _emit_json(args, command: str, parameters: dict, result) -> None:
         "parameters": parameters,
         "result": result,
     }
-    _write_text(args, json.dumps(envelope, indent=2, sort_keys=True) + "\n")
+    return json.dumps(envelope, indent=2, sort_keys=True) + "\n"
 
 
 def _cmd_construct(args) -> int:
@@ -302,15 +316,14 @@ def _cmd_spectral(args) -> int:
         "digits": digits,
         "svp_cap": args.svp_cap,
     }
-    _emit_json(args, "spectral", params, result)
+    _write_text(args, _envelope("spectral", params, result))
     return EXIT_OK
 
 
 def _numerator_texts(q: int) -> list[str]:
     """str(Fraction(x, q)) for every numerator 0 <= x < q, entry x."""
     xs = range(q)
-    gs = list(map(math.gcd, xs, repeat(q)))
-    texts = list(map("{}/{}".format, map(floordiv, xs, gs), map(q.__floordiv__, gs)))
+    texts = [f"{x // g}/{q // g}" for x, g in zip(xs, map(math.gcd, xs, repeat(q)))]
     texts[0] = "0"
     return texts
 
@@ -326,13 +339,15 @@ def _cmd_points(args) -> int:
         body = "\n".join(map(",".join, rows))
         _write_text(args, f"{header}\n{body}\n")
         return EXIT_OK
-    result = {
-        "dim": lat.dim,
-        "n_points": len(pts),
-        "points": list(rows),
-    }
+    result = {"dim": lat.dim, "n_points": len(pts), "points": []}
     params = {"lattice": lat.spec_string(), "cap": args.cap}
-    _emit_json(args, "points", params, result)
+    head, _, tail = _envelope("points", params, result).partition('"points": []')
+    # the rows as json.dumps(indent=2) lays them out at this depth; a text
+    # is digits and '/', so it needs no escaping
+    body = '"\n      ],\n      [\n        "'.join(map('",\n        "'.join, rows))
+    _write_text(args, "".join((
+        head, '"points": [\n      [\n        "', body, '"\n      ]\n    ]', tail
+    )))
     return EXIT_OK
 
 
@@ -359,7 +374,7 @@ def _cmd_certify(args) -> int:
         "cap": args.cap,
         "svp_cap": args.svp_cap,
     }
-    _emit_json(args, "certify", params, result)
+    _write_text(args, _envelope("certify", params, result))
     return EXIT_OK
 
 
@@ -384,7 +399,7 @@ def _cmd_search(args) -> int:
         "digits": digits,
         "svp_cap": args.svp_cap,
     }
-    _emit_json(args, "search", params, res.to_dict())
+    _write_text(args, _envelope("search", params, res.to_dict()))
     return EXIT_OK
 
 
@@ -418,24 +433,27 @@ def _cmd_verify(args) -> int:
             "cap": args.cap,
             "svp_cap": args.svp_cap,
         }
-        _emit_json(args, "verify", params, result)
+        _write_text(args, _envelope("verify", params, result))
     return EXIT_OK if report.all_passed else EXIT_INVARIANT
 
 
-_HANDLERS = {
-    "construct": _cmd_construct,
-    "spectral": _cmd_spectral,
-    "points": _cmd_points,
-    "certify": _cmd_certify,
-    "search": _cmd_search,
-    "verify": _cmd_verify,
+# subcommand -> (help line, argument builder, handler), in the help's order
+_COMMANDS = {
+    "construct": ("build a lattice and emit its JSON", _construct_args, _cmd_construct),
+    "spectral": ("spectral test of a lattice", _spectral_args, _cmd_spectral),
+    "points": ("enumerate the node set", _points_args, _cmd_points),
+    "certify": (
+        "discrepancy certificates and randomized search", _certify_args, _cmd_certify
+    ),
+    "search": ("best rank-1 generator modulo a prime", _search_args, _cmd_search),
+    "verify": ("certified bounds report", _verify_args, _cmd_verify),
 }
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    handler = _HANDLERS[args.command]
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser(argv).parse_args(argv)
+    handler = _COMMANDS[args.command][2]
     try:
         for flag in ("cap", "svp_cap", "budget"):
             value = getattr(args, flag, 0)

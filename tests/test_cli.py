@@ -128,7 +128,9 @@ class TestPointsOutput:
     while the general HNF walk recursed depth first and each node's text
     was looked up in a dict of its distinct numerators: the rank-1 closed
     form with q = N, the general walk with q = 90 < N = 4050, a grid, a
-    d = 4 Korobov rule and a rank-1 rule whose g_0 is not 1."""
+    d = 4 Korobov rule and a rank-1 rule whose g_0 is not 1.  The JSON
+    pins of the bad family (q = 90 < N), a d = 1 rule and N = 1 were
+    recorded while JSON points still went through json.dumps whole."""
 
     DIGESTS = {
         "points --family fibonacci --m 21 --format csv":
@@ -141,6 +143,12 @@ class TestPointsOutput:
             "c209503852ba6febd06922d34eb844ea87bab6367255ad3cb8a1d94369530c92",
         "points --n 60 --generator 4,10,6":
             "a2d54a4b419c0626dfed517afd6da609f980086b8c341ddd44d21219dd328c9b",
+        "points --family bad --m 45 --d 3":
+            "67952d6f42681b23d939abddb908bc692b0f7e79a601105cd4cb719b27081640",
+        "points --n 7 --generator 3":
+            "a223d345678bf293cea77c26fb5d60f9de48f2b6aab2e420565993dbcaf2762d",
+        "points --n 1 --generator 0":
+            "df80cfcb7c82716a9459f72f2f5698615354a22551118e85172cd6b989dd87c9",
     }
 
     @pytest.mark.parametrize("args", sorted(DIGESTS))
@@ -148,6 +156,101 @@ class TestPointsOutput:
         code, out = run_cli(capsys, *args.split())
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == self.DIGESTS[args]
+
+    @pytest.mark.parametrize(
+        "args",
+        ["--family bad --m 45 --d 3", "--n 60 --generator 4,10,6",
+         "--n 7 --generator 3", "--n 1 --generator 0"],
+    )
+    def test_json_and_csv_agree(self, capsys, args):
+        _, data = run_json(capsys, "points", *args.split())
+        _, out = run_cli(capsys, "points", *args.split(), "--format", "csv")
+        rows = [line.split(",") for line in out.splitlines()[1:]]
+        assert data["result"]["points"] == rows
+
+
+class TestParserOutput:
+    """argparse's help, version and usage errors, pinned to the exit code
+    and the SHA-256 of stdout and stderr at 80 columns, as printed while
+    every subcommand's arguments were added on each call."""
+
+    EMPTY = hashlib.sha256(b"").hexdigest()
+    # argv -> (exit code, stdout SHA-256, stderr SHA-256)
+    DIGESTS = {
+        "--help": (
+            0, "c1a7c634688358036747a3d8484a65bfc2d079c6963b39939822e76c986c795b", EMPTY),
+        "-h": (
+            0, "c1a7c634688358036747a3d8484a65bfc2d079c6963b39939822e76c986c795b", EMPTY),
+        "--version": (
+            0, "d0885ed86b9e172f60ee27f86e5394af742ae0dc5b3e2b0b73ce3fb62fb2f1a6", EMPTY),
+        "-h points": (
+            0, "c1a7c634688358036747a3d8484a65bfc2d079c6963b39939822e76c986c795b", EMPTY),
+        "construct --help": (
+            0, "2edc18736625e149b4bac63ee2ff75b84538ac8e332763ce93cff39b1c3b2933", EMPTY),
+        "spectral --help": (
+            0, "be37702e91352312287e37dd258619cacbfaa9f4d2c6b0afe9a57f21293f982f", EMPTY),
+        "points --help": (
+            0, "e2f933b300989f75c1159da3636ca02c0b29cb264a61705ce3aeb97783ddccdd", EMPTY),
+        "certify --help": (
+            0, "bf942fdfb584590c2b70e7d0b03d8f82dbdcd9dae137fe026dd86d02bdb571f3", EMPTY),
+        "search --help": (
+            0, "9ff79fec83ec7d3aa6aa22d23f8ab1a47ba34604f82d482f1ce6799201e3cb08", EMPTY),
+        "verify --help": (
+            0, "15bc29bb3dd38ee6ca0130e466a690601eaa7170713da6837c66cadbccf53a9b", EMPTY),
+        "bogus": (
+            2, EMPTY, "d5d6fd38ca14c895621107992179cda9bb8dc99dfcb908b2028743365ff6a9b4"),
+        "points --bogus": (
+            2, EMPTY, "36a94ba03f05439940bf44cd37b486c335c50f856a4f719f94f7aafda8467d4b"),
+        "search --n 61": (
+            2, EMPTY, "112ce7160471bd723fec13f1db903b69ad5260ab85c2e6a6feef61435df2d6fe"),
+        "points --family fibonacci --m 5 --format xml": (
+            2, EMPTY, "70887b01d16e6f553985e932b7b781f2f5c81ce9ae662bd7f37b61482614430f"),
+    }
+
+    @pytest.mark.parametrize("args", sorted(DIGESTS))
+    def test_output_unchanged(self, capsys, args):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(args.split())
+        captured = capsys.readouterr()
+        assert (
+            exc.value.code,
+            hashlib.sha256(captured.out.encode()).hexdigest(),
+            hashlib.sha256(captured.err.encode()).hexdigest(),
+        ) == self.DIGESTS[args]
+
+
+class TestOneSubparser:
+    """A call adds arguments to the one subcommand its argv names, and to
+    none when argv names none; --help and the usage errors stay whole."""
+
+    CALLS = {
+        **{f"{command} --help": [command] for command in cli._COMMANDS},
+        "points --family fibonacci --m 5": ["points"],
+        "verify --family fibonacci --m 5 --format csv": ["verify"],
+        "-h points": ["points"],
+        "--help": [],
+        "--version": [],
+        "bogus": [],
+        "": [],
+    }
+
+    @pytest.mark.parametrize("args", sorted(CALLS))
+    def test_only_the_named_builder_runs(self, capsys, monkeypatch, args):
+        built = []
+
+        def spy(name, add_arguments):
+            def recorded(parser):
+                built.append(name)
+                add_arguments(parser)
+            return recorded
+
+        monkeypatch.setattr(cli, "_COMMANDS", {
+            name: (help_text, spy(name, add_arguments), handler)
+            for name, (help_text, add_arguments, handler) in cli._COMMANDS.items()
+        })
+        with contextlib.suppress(SystemExit):
+            cli.main(args.split())
+        assert built == self.CALLS[args]
 
 
 class TestCertify:
@@ -911,19 +1014,35 @@ class TestExitCodeContract:
 
 
 class TestConsoleScript:
-    def test_installed_entry_point(self):
+    @staticmethod
+    def run_module(*args):
         # The child imports the latdisc under test, installed or not.
         package_root = os.path.dirname(os.path.dirname(latdisc.__file__))
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(
             p for p in (package_root, env.get("PYTHONPATH")) if p
         )
-        out = subprocess.run(
-            [sys.executable, "-m", "latdisc.cli", "spectral", "--family",
-             "fibonacci", "--m", "5"],
+        return subprocess.run(
+            [sys.executable, "-m", "latdisc.cli", *args],
             capture_output=True,
             text=True,
             env=env,
         )
+
+    def test_installed_entry_point(self):
+        out = self.run_module("spectral", "--family", "fibonacci", "--m", "5")
         assert out.returncode == 0, out.stderr
         assert json.loads(out.stdout)["result"]["sigma_sq"] == "1/5"
+
+    @pytest.mark.parametrize(
+        "args",
+        ["points --family fibonacci --m 5 --format csv", "--help"],
+    )
+    def test_argv_from_the_process(self, capsys, args):
+        # main() with no argv reads sys.argv: it prints what main(argv) does
+        try:
+            code = cli.main(args.split())
+        except SystemExit as exc:
+            code = exc.code
+        out = self.run_module(*args.split())
+        assert (out.returncode, out.stdout) == (code, capsys.readouterr().out)

@@ -237,7 +237,7 @@ class TestWalkBranches:
 
 
 class TestNumeratorTexts:
-    @pytest.mark.parametrize("q", [1, 2, 90, 97, 10946])
+    @pytest.mark.parametrize("q", [1, 2, 90, 97, 360, 5040, 10946])
     def test_each_text_is_the_fraction(self, q):
         texts = cli._numerator_texts(q)
         assert texts == [str(F(x, q)) for x in range(q)]
