@@ -10,6 +10,7 @@ the one maximizing the shortest dual vector, i.e. minimizing sigma.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
@@ -17,6 +18,10 @@ from itertools import product
 from . import directed, kernels, reduction
 from .errors import CapExceededError, InputError, InvariantViolationError
 from .lattice import IntegrationLattice, from_basis, from_rank1
+
+# the most generators one korobov_search scans, as many as the nodes
+# lattice.DEFAULT_ENUM_CAP lets a command enumerate
+SEARCH_CAP = 10**6
 
 
 def fibonacci_lattice(m: int) -> IntegrationLattice:
@@ -104,19 +109,31 @@ def _is_prime(n: int) -> bool:
     return True
 
 
-def _unit_row(block, n: int, c: int, i: int, d: int) -> list[int]:
-    # e_i - c e_0 minus the vector of the Gauss block [u, v] that one Babai
-    # nearest-plane step finds near (-c, 0): round against v* first, then
-    # against u.  The block's determinant is +-n, so with U = ||u||^2
-    # and P = <u, v> the integer vector U v* = U v - P u has squared norm
-    # U n^2, and both roundings are exact integer ones
+def _babai_constants(block) -> tuple:
+    # what _unit_row needs of the Gauss block [u, v]: its first two columns,
+    # U = ||u||^2, P = <u, v> and the first column U v0 - P u0 of U v*, where
+    # v* = v - (P / U) u; all unit rows reduced against one block share them
     (u0, u1), (v0, v1) = block[0][:2], block[1][:2]
     nu, p = u0 * u0 + u1 * u1, u0 * v0 + u1 * v1
-    b = kernels._round_div(-c * (nu * v0 - p * u0), n * n)
+    return u0, u1, v0, v1, nu, p, nu * v0 - p * u0
+
+
+def _unit_row(babai, n: int, c: int, i: int, d: int) -> list[int]:
+    # e_i - c e_0 minus the vector of the Gauss block [u, v] that one Babai
+    # nearest-plane step finds near (-c, 0): round against v* first, then
+    # against u.  The block's determinant is +-n, so the integer vector
+    # U v* = U v - P u has squared norm U n^2, and both roundings are exact
+    # integer ones (babai is _babai_constants of the block)
+    u0, u1, v0, v1, nu, p, w = babai
+    b = kernels._round_div(-c * w, n * n)
     a = kernels._round_div(-c * u0 - b * p, nu)
     row = [0] * d
     row[0], row[1], row[i] = -c - b * v0 - a * u0, -b * v1 - a * u1, 1
     return row
+
+
+def _norm_sq(row) -> int:
+    return kernels._dot(row, row)
 
 
 def _dual_rows_unit_leading(n: int, g) -> list[list[int]]:
@@ -130,7 +147,8 @@ def _dual_rows_unit_leading(n: int, g) -> list[list[int]]:
         row + [0] * (d - 2)
         for row in kernels.gauss_reduce_2d([[n, 0], [-g[1], 1]])
     ]
-    rows += [_unit_row(rows, n, g[i], i, d) for i in range(2, d)]
+    babai = _babai_constants(rows)
+    rows += [_unit_row(babai, n, g[i], i, d) for i in range(2, d)]
     return rows
 
 
@@ -150,20 +168,28 @@ def _dual_bases(n: int, d: int, mode: str):
     # basis: dual(P, a) is spanned by the rows of dual(P), each with a 0
     # appended, and (-a, 0, ..., 0, 1), since subtracting h[-1] times that
     # row from any h in dual(P, a) leaves a vector of dual(P) x {0}.  Every
-    # basis starts with the Gauss-reduced block of _dual_rows_unit_leading;
-    # at d = 3 it is the whole prefix basis, reduced once for its n - 1
-    # generators, and once the prefix's shortest vector is no longer than
-    # the incumbent it rejects the whole block at entry.  At d = 2 both
-    # modes scan the same generators (1, a), each dual basis that block.
-    # The appended row comes reduced against the block by _unit_row.
+    # basis is built from the Gauss-reduced block of _dual_rows_unit_leading
+    # and unit rows reduced against it by _unit_row; at d = 3 the block is
+    # the whole prefix basis, reduced once for its n - 1 generators.  The
+    # rows are handed over sorted by squared norm, ties in build order (a
+    # stable sort): a reduced unit row is often shorter than the block's
+    # rows, and LLL would spend its first swaps moving it to the front.  In
+    # exhaustive mode at d >= 3 the prefix rows are sorted once, and each
+    # generator's unit row goes in after every prefix row no longer than
+    # it, the place a stable sort of the prefix rows then the unit row gives
     if mode == "korobov" or d == 2:
         for g in _generators(n, d, mode):
-            yield g, _dual_rows_unit_leading(n, g)
+            yield g, sorted(_dual_rows_unit_leading(n, g), key=_norm_sq)
         return
     for prefix in _generators(n, d - 1, mode):
         head = [row + [0] for row in _dual_rows_unit_leading(n, prefix)]
+        babai = _babai_constants(head)
+        head.sort(key=_norm_sq)
+        norms = [_norm_sq(row) for row in head]
         for a in range(1, n):
-            yield [*prefix, a], head + [_unit_row(head, n, a, d - 1, d)]
+            row = _unit_row(babai, n, a, d - 1, d)
+            k = bisect_right(norms, _norm_sq(row))
+            yield [*prefix, a], [*head[:k], row, *head[k:]]
 
 
 @dataclass(frozen=True)
@@ -209,10 +235,12 @@ def korobov_search(
 
     mode "korobov" scans the n - 1 generators (1, a, ..., a^{d-1}); mode
     "exhaustive" scans all (n - 1)^(d-1) generators (1, a_2, ..., a_d) and
-    is only practical for small n.  The winner maximizes the squared length
-    of the shortest dual vector; ties prefer the lexicographically smallest
-    generator.  The winner is re-verified through the full dual + spectral
-    pipeline before being returned.
+    is only practical for small n.  A search over more than SEARCH_CAP
+    generators is refused with CapExceededError before n is tested for
+    primality.  The winner maximizes the squared length of the shortest
+    dual vector; ties prefer the lexicographically smallest generator.  The
+    winner is re-verified through the full dual + spectral pipeline before
+    being returned.
 
     Generators come in strictly increasing lexicographic order, so a later
     one wins only with a strictly larger minimum: each candidate's SVP gets
@@ -220,27 +248,37 @@ def korobov_search(
     dual vector no longer than that (branch and bound, as in L'Ecuyer and
     Couture's spectral-test search).  The abort reaches into LLL, which
     gives up at entry or after a swap that brings such a vector to the
-    front.  Every dual basis starts from the Gauss-reduced dual basis of
+    front.  Every dual basis is built from the Gauss-reduced dual basis of
     the generator's first two coordinates (1, c), so LLL does not redo
     Euclid's algorithm on (n, c) through d x d swaps, and each unit row
-    e_i - g_i e_0 after that block comes reduced against it by one Babai
+    e_i - g_i e_0 comes reduced against that block by one Babai
     nearest-plane step, so the entry check sees the short vectors that
-    step finds and rejects most exhaustive candidates.  In exhaustive mode
-    with d = 3 that block is the whole basis of the prefix (1, a_2), shared
-    by its n - 1 generators (component by component, as in Sloan and
-    Reztsov), so a prefix whose shortest dual vector is already no longer
-    than the incumbent costs each of its generators only the entry check.
-    At every d, 2 included, each generator makes exactly one LLL call, and
+    step finds and rejects most exhaustive candidates.  LLL gets the rows
+    sorted by squared norm, so it does not spend its swaps bringing a
+    short unit row to the front.  In exhaustive mode with d = 3 the block
+    is the whole basis of the prefix (1, a_2), shared by its n - 1
+    generators (component by component, as in Sloan and Reztsov), so a
+    prefix whose shortest dual vector is already no longer than the
+    incumbent costs each of its generators only the entry check.  At every
+    d, 2 included, each generator makes exactly one LLL call, and
     re-verifying the winner makes one more.
     """
-    if not _is_prime(n):
-        raise InputError(f"generator search needs a prime modulus, got {n}")
     if d < 2:
         raise InputError("generator search needs dimension >= 2")
-    if d > svp_cap:
-        raise CapExceededError(f"search in dimension {d} exceeds cap {svp_cap}")
     if mode not in ("korobov", "exhaustive"):
         raise InputError(f"unknown search mode {mode!r}")
+    if d > svp_cap:
+        raise CapExceededError(f"search in dimension {d} exceeds cap {svp_cap}")
+    # (n - 1)^e > SEARCH_CAP once n - 1 >= 2 and e >= SEARCH_CAP.bit_length(),
+    # so the exponent is clipped there and no huge power is ever formed
+    tail = 1 if mode == "korobov" else d - 1
+    if n > 2 and (n - 1) ** min(tail, SEARCH_CAP.bit_length()) > SEARCH_CAP:
+        size = f"{n - 1}" if tail == 1 else f"{n - 1}^{tail}"
+        raise CapExceededError(
+            f"search over {size} generators exceeds cap {SEARCH_CAP}"
+        )
+    if not _is_prime(n):
+        raise InputError(f"generator search needs a prime modulus, got {n}")
     best_norm = None
     best_g = None
     searched = 0

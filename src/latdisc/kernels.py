@@ -5,8 +5,9 @@ integral Gram-Schmidt data (LLL builds a row as it first reaches it, the
 enumeration takes all rows), and the exact shortest-vector enumeration;
 every shortest-vector computation is lll_reduce then shortest_vectors.
 The 2d Gauss reduction gives the generator search's dual bases a reduced
-leading block before LLL; the search reduces each later unit row against
-that block too, so LLL's entry check often rejects a basis outright.
+block before LLL; the search reduces each unit row against that block too,
+so LLL's entry check often rejects a basis outright, and hands LLL the rows
+sorted by squared norm, so fewer swaps bring the shortest ones forward.
 Everything works on plain Python ints (arbitrary precision, no overflow by
 construction) and is deterministic.
 
@@ -30,9 +31,10 @@ def _round_div(a, b):
 def gauss_reduce_2d(rows):
     """Lagrange-Gauss reduce a basis of a rank-2 lattice in Z^2.
 
-    The generator search reduces with it the dual of (1, g[1]) that leads
-    its dual bases: once per Korobov generator, and once per exhaustive
-    prefix at d >= 3, on the four scalar components of its two rows.
+    The generator search reduces with it the dual of (1, g[1]) that its
+    dual bases are built from: once per Korobov generator, and once per
+    exhaustive prefix at d >= 3, on the four scalar components of its two
+    rows.
 
     Returns [u, v] spanning the same lattice with ||u|| <= ||v|| and
     |2 <u, v>| <= ||u||^2, so u attains the lattice minimum.  Raises

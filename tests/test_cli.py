@@ -9,6 +9,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations
@@ -19,7 +20,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import latdisc
-from latdisc import __version__, bounds, cli, directed, lattice, reduction, volume
+from latdisc import (
+    __version__, bounds, cli, constructions, directed, kernels, lattice, reduction,
+    volume,
+)
 
 
 def run_cli(capsys, *args):
@@ -614,6 +618,48 @@ class TestSearch:
     def test_svp_cap_exit_3(self, capsys):
         assert cli.main(["search", "--n", "5", "--d", "4", "--svp-cap", "3"]) == 3
 
+    @pytest.mark.parametrize(
+        "args,err",
+        [
+            ("--n 1009 --d 6 --mode exhaustive",
+             "search over 1008^5 generators exceeds cap 1000000"),
+            ("--n 1000000007 --d 2",
+             "search over 1000000006 generators exceeds cap 1000000"),
+            ("--n 2305843009213693951 --d 2",
+             "search over 2305843009213693950 generators exceeds cap 1000000"),
+            ("--n 1000003 --d 2 --mode exhaustive",
+             "search over 1000002 generators exceeds cap 1000000"),
+            ("--n 61 --d 1000000000 --mode exhaustive",
+             "search in dimension 1000000000 exceeds cap 12"),
+            ("--n 61 --d 1000000000 --mode exhaustive --svp-cap 1000000000",
+             "search over 60^999999999 generators exceeds cap 1000000"),
+        ],
+    )
+    def test_work_cap_exit_3(self, capsys, monkeypatch, args, err):
+        # refused by counting the generators, before the primality test
+        # (2^61 - 1 would take about 7.6e8 trial divisions) and before any
+        # LLL call, and without forming (n - 1)^(d - 1) for a huge d
+        def unreachable(*args, **kwargs):
+            raise AssertionError("reached past the work cap")
+
+        monkeypatch.setattr(constructions, "_is_prime", unreachable)
+        monkeypatch.setattr(kernels, "lll_reduce", unreachable)
+        start = time.perf_counter()
+        code = cli.main(["search", *args.split()])
+        assert time.perf_counter() - start < 1.0
+        captured = capsys.readouterr()
+        assert code == 3 and captured.out == ""
+        assert captured.err.splitlines() == [f"latdisc: cap exceeded: {err}"]
+
+    def test_work_cap_boundary(self, capsys):
+        # n - 1 = 10^6 generators is at the cap, not over it: 1000001 then
+        # fails the primality test instead
+        assert constructions.SEARCH_CAP == 10**6
+        assert cli.main(["search", "--n", "1000001", "--d", "2"]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "latdisc: input error: generator search needs a prime modulus, got 1000001"
+        ]
+
 
 class TestVerify:
     def test_passes_on_good_rule(self, capsys):
@@ -889,7 +935,8 @@ _COMMAND_FLAGS = {
     "points": [("--format", ["json", "csv"], [])],
     "certify": [_DIGITS, ("--budget", ["0", "1", "50"], ["-1"]),
                 ("--seed", ["-1", "7", str(10**23)], [])],
-    "search": [("--n", ["2", "5", "13"], ["-7", "0", "1", "9"]),
+    # 2^61 - 1 is prime, but its n - 1 generators are over the search's cap
+    "search": [("--n", ["2", "5", "13", str(2**61 - 1)], ["-7", "0", "1", "9"]),
                ("--d", ["2", "3", "4", "7"], ["-1", "0", "1"]),
                ("--mode", ["korobov", "exhaustive"], []), _DIGITS,
                ("--format", ["json", "csv"], [])],

@@ -338,21 +338,27 @@ class TestGeneratorSearch:
         "n,d", [(5, 2), (7, 2), (5, 3), (13, 3), (5, 4), (7, 4), (5, 5), (3, 6), (5, 6)]
     )
     def test_dual_bases_span_the_dual(self, n, d, mode):
-        # the bases come in _generators order, each spans the same lattice
-        # as the generator's raw unit-leading dual basis, each starts with a
-        # Gauss-reduced 2d block, and every row after it is a unit row
-        # reduced against that block
+        # the bases come in _generators order, and each is built as the
+        # generator's unit-leading basis: it spans the same lattice as the
+        # raw unit-leading dual basis, starts with a Gauss-reduced 2d block,
+        # and every row after that block is a unit row reduced against it.
+        # The rows handed over are those rows sorted by squared norm, ties
+        # in build order
         pairs = list(constructions._dual_bases(n, d, mode))
         assert [g for g, _ in pairs] == list(constructions._generators(n, d, mode))
         for g, rows in pairs:
+            built = constructions._dual_rows_unit_leading(n, g)
             raw = _raw_dual_rows(n, g)
-            assert linalg.hnf(rows, d) == linalg.hnf(raw, d)
-            u, v = rows[0], rows[1]
+            assert linalg.hnf(built, d) == linalg.hnf(raw, d)
+            u, v = built[0], built[1]
+            assert u[2:] == v[2:] == [0] * (d - 2)
             assert dot(u, u) <= dot(v, v)
             assert abs(2 * dot(u, v)) <= dot(u, u)
             for i in range(2, d):
-                assert rows[i][2:] == [int(j == i) for j in range(2, d)]
-                _assert_babai_reduced(rows[i][:2], u[:2], v[:2], n)
+                assert built[i][2:] == [int(j == i) for j in range(2, d)]
+                _assert_babai_reduced(built[i][:2], u[:2], v[:2], n)
+            order = sorted(range(d), key=lambda i: (dot(built[i], built[i]), i))
+            assert rows == [built[i] for i in order]
 
     @given(unit_row_cases())
     @example((2, 1, 0))
@@ -365,7 +371,8 @@ class TestGeneratorSearch:
         # stays in its coset of the block's lattice and within the bounds
         n, g1, c = case
         u, v = kernels.gauss_reduce_2d([[n, 0], [-g1, 1]])
-        row = constructions._unit_row([u, v], n, c, 2, 3)
+        babai = constructions._babai_constants([u, v])
+        row = constructions._unit_row(babai, n, c, 2, 3)
         t = row[:2]
         assert row[2] == 1
         assert (t[0] + g1 * t[1] + c) % n == 0

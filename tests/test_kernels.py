@@ -187,7 +187,21 @@ class TestLLL:
         monkeypatch.setattr(kernels, "lll_reduce", recording)
         r = constructions.korobov_search(n, d, "exhaustive")
         assert r.n_searched == (n - 1) ** (d - 1)
+        # the entry check is a min over the rows, so the order in which
+        # the search hands them over does not move these counts
         assert len(at_entry) == entry
+
+    def test_sorted_bases_build_fewer_rows(self, monkeypatch):
+        # the search hands LLL each dual basis sorted by squared norm, so
+        # fewer swaps move a short unit row to the front, and a reduction
+        # the incumbent cuts short reaches fewer rows; over one whole
+        # korobov d = 6 search at n = 503, LLL, enumeration and the
+        # winner's re-check included, the rows in the order they were built
+        # (the Gauss block first) cost 2229 Gram-Schmidt rows
+        rows_built = self._count_gso_rows(monkeypatch)
+        r = constructions.korobov_search(503, 6)
+        assert (r.generator, r.norm_sq) == ((1, 27, 226, 66, 273, 329), 10)
+        assert len(rows_built) == 1788
 
     def test_input_not_mutated(self):
         rows = [[3, 5], [4, 9]]
