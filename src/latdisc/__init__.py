@@ -9,134 +9,66 @@ inequality verdict is certified.
 The integer kernels (Gauss and LLL reduction, shortest-vector enumeration)
 are plain Python; `kernel_implementation` is the constant "pure", kept so that
 recorded results can say which kernels produced them.
+
+The package loads its modules lazily: `import latdisc` imports none of
+them, `import latdisc.<module>` imports that module and what it imports,
+and a public name such as `latdisc.spectral_test` imports its module on
+first use.  Each access looks the name up in its module again, so
+`latdisc.X is latdisc.<module>.X` always holds.
 """
 
+__version__ = "0.1.0"
 kernel_implementation = "pure"
 
-from .errors import (
-    CapExceededError,
-    InputError,
-    InvariantViolationError,
-    LatdiscError,
-    NotIntegrationLatticeError,
-    RankDeficientError,
-    UndecidableComparisonError,
-)
-from .linalg import gram_schmidt, hnf, inverse
-from .lattice import (
-    IntegrationLattice,
-    PointSet,
-    dual,
-    enumerate_points,
-    from_basis,
-    from_json,
-    from_rank1,
-    to_json,
-)
-from .reduction import (
-    SpectralResult,
-    shortest_vector,
-    spectral_test,
-)
-from .volume import (
-    AxisBox,
-    ConvexBody,
-    Halfspace,
-    Slab,
-    body_contains,
-    body_to_dict,
-    body_volume,
-    halfspace_cube_volume,
-    local_discrepancy,
-)
-from .discrepancy import (
-    DiscrepancyEstimate,
-    HyperplaneCountCertificate,
-    SlabCertificate,
-    estimate_isotropic_discrepancy,
-    hyperplane_count_certificate,
-    slab_certificate,
-)
-from .constructions import (
-    GeneratorSearchResult,
-    bad_lattice,
-    fibonacci_lattice,
-    korobov_lattice,
-    korobov_search,
-    scaled_integer_lattice,
-)
-from .bounds import (
-    BoundsReport,
-    GammaValue,
-    gamma_half_integer,
-    minkowski_sigma_check,
-    verify_lattice,
-)
-from .directed import Bounds, decimal_str, pi_bounds, sqrt_bounds
+from importlib import import_module as _import_module
 
-__version__ = "0.1.0"
+# every library module -> its public names, in the order of `__all__`
+_EXPORTS = {
+    "errors": (
+        "LatdiscError", "InputError", "RankDeficientError",
+        "NotIntegrationLatticeError", "CapExceededError",
+        "UndecidableComparisonError", "InvariantViolationError",
+    ),
+    "linalg": ("inverse", "hnf", "gram_schmidt"),
+    "kernels": (),
+    "lattice": (
+        "IntegrationLattice", "PointSet", "from_rank1", "from_basis",
+        "from_json", "to_json", "dual", "enumerate_points",
+    ),
+    "reduction": ("shortest_vector", "SpectralResult", "spectral_test"),
+    "volume": (
+        "Halfspace", "Slab", "AxisBox", "ConvexBody", "halfspace_cube_volume",
+        "body_volume", "body_contains", "local_discrepancy", "body_to_dict",
+    ),
+    "discrepancy": (
+        "SlabCertificate", "slab_certificate", "HyperplaneCountCertificate",
+        "hyperplane_count_certificate", "DiscrepancyEstimate",
+        "estimate_isotropic_discrepancy",
+    ),
+    "constructions": (
+        "fibonacci_lattice", "scaled_integer_lattice", "bad_lattice",
+        "korobov_lattice", "korobov_search", "GeneratorSearchResult",
+    ),
+    "bounds": (
+        "GammaValue", "gamma_half_integer", "minkowski_sigma_check",
+        "BoundsReport", "verify_lattice",
+    ),
+    "directed": ("Bounds", "sqrt_bounds", "pi_bounds", "decimal_str"),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 
-__all__ = [
-    "__version__",
-    "kernel_implementation",
-    # errors
-    "LatdiscError",
-    "InputError",
-    "RankDeficientError",
-    "NotIntegrationLatticeError",
-    "CapExceededError",
-    "UndecidableComparisonError",
-    "InvariantViolationError",
-    # linear algebra
-    "inverse",
-    "hnf",
-    "gram_schmidt",
-    # lattices
-    "IntegrationLattice",
-    "PointSet",
-    "from_rank1",
-    "from_basis",
-    "from_json",
-    "to_json",
-    "dual",
-    "enumerate_points",
-    # reduction and spectral test
-    "shortest_vector",
-    "SpectralResult",
-    "spectral_test",
-    # bodies and volumes
-    "Halfspace",
-    "Slab",
-    "AxisBox",
-    "ConvexBody",
-    "halfspace_cube_volume",
-    "body_volume",
-    "body_contains",
-    "local_discrepancy",
-    "body_to_dict",
-    # discrepancy
-    "SlabCertificate",
-    "slab_certificate",
-    "HyperplaneCountCertificate",
-    "hyperplane_count_certificate",
-    "DiscrepancyEstimate",
-    "estimate_isotropic_discrepancy",
-    # constructions
-    "fibonacci_lattice",
-    "scaled_integer_lattice",
-    "bad_lattice",
-    "korobov_lattice",
-    "korobov_search",
-    "GeneratorSearchResult",
-    # bounds and verification
-    "GammaValue",
-    "gamma_half_integer",
-    "minkowski_sigma_check",
-    "BoundsReport",
-    "verify_lattice",
-    # directed arithmetic
-    "Bounds",
-    "sqrt_bounds",
-    "pi_bounds",
-    "decimal_str",
-]
+__all__ = ["__version__", "kernel_implementation", *_MODULE_OF]
+
+
+def __getattr__(name):
+    # not cached in the package globals: a caller sees whatever the module
+    # holds now, e.g. a wrapper a tracer has installed there
+    if name in _MODULE_OF:
+        return getattr(_import_module(f".{_MODULE_OF[name]}", __name__), name)
+    if name in _EXPORTS:
+        return _import_module(f".{name}", __name__)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted({*globals(), *_EXPORTS, *_MODULE_OF})
