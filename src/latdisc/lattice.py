@@ -63,7 +63,7 @@ class IntegrationLattice:
         only (serialization uses it for the compact JSON form).
     """
 
-    __slots__ = ("rows", "denominator", "dim", "n_points", "rank1_data")
+    __slots__ = ("rows", "denominator", "dim", "n_points", "rank1_data", "_inverse")
 
     def __init__(self, rows, scale, rank1_data=None):
         g = gcd(scale, *chain.from_iterable(rows))
@@ -72,6 +72,7 @@ class IntegrationLattice:
         self.dim = d = len(rows)
         self.n_points = q**d // prod(row[i] for i, row in enumerate(self.rows))
         self.rank1_data = rank1_data
+        self._inverse = None  # rows of q H^-1, when from_basis has them
 
     def __eq__(self, other):
         return isinstance(other, IntegrationLattice) and (
@@ -171,7 +172,8 @@ def from_basis(rows) -> IntegrationLattice:
     lattice = IntegrationLattice(linalg.hnf(ints, d), scale)
     # Z^d <= L  iff  every unit vector e_i is an integer combination of the
     # basis rows H / q; the coefficient vector of e_i is row i of q H^-1.
-    for i, row in enumerate(linalg.inverse(lattice.rows, lattice.denominator)):
+    lattice._inverse = linalg.inverse(lattice.rows, lattice.denominator)
+    for i, row in enumerate(lattice._inverse):
         if row is None:
             raise NotIntegrationLatticeError(
                 f"unit vector e_{i + 1} is not in the lattice",
@@ -189,7 +191,7 @@ def dual(lattice: IntegrationLattice) -> tuple[tuple[int, ...], ...]:
     the product of its pivots, equals the node count N; both facts are
     verified here.
     """
-    inv = linalg.inverse(lattice.rows, lattice.denominator)
+    inv = lattice._inverse or linalg.inverse(lattice.rows, lattice.denominator)
     if None in inv:
         raise InputError("dual of an integration lattice must be integral (bug)")
     basis = linalg.hnf(list(zip(*inv)), lattice.dim)
@@ -210,12 +212,13 @@ def enumerate_points(
     fixes one coordinate per level, breadth first, one column at a time.
     Level l adds c times row l to each parent combination v; exactly
     m = q / p_l values of c put X_l = v_l + c p_l in [0, q), so column j of
-    the children is one run of m values per parent, a range of step r_j
-    (row l's entry), or a repeat where r_j = 0.  Children follow their
-    parent in order of X_l, so the nodes come out in lex order of their
-    numerator vectors, as a depth-first walk would give them.  A parent's
-    subtree depends only on the coordinates it has fixed (q e_j is in qL),
-    so its later entries are kept reduced mod q, below q^2.  Raises
+    the children is one run of m values per parent, of step r_j (row l's
+    entry), filled by one range (or repeat, where r_j = 0) per parent or by
+    one strided slice per child, whichever loop is shorter.  Children
+    follow their parent in order of X_l, so the nodes come out in lex order
+    of their numerator vectors, as a depth-first walk would give them.  A
+    parent's subtree depends only on the coordinates it has fixed (q e_j is
+    in qL), so its later entries are kept reduced mod q, below q^2.  Raises
     CapExceededError, before the walk, when the N nodes are more than `cap`
     (a desk-scale limit, not a failure of the input).
     """
@@ -227,28 +230,49 @@ def enumerate_points(
     rows, q = lattice.rows, lattice.denominator
     if rows[0][0] == 1 and all(rows[i][i] == q for i in range(1, d)):
         # then row i >= 1 is q e_i: q e_i is in q L and HNF entries lie in [0, q)
-        return PointSet(
-            (array("q", map(q.__rmod__, islice(count(0, g), q))) for g in rows[0]), q
-        )
+        # column 0 is k itself (g_0 = 1); a later g may be 0, which range refuses
+        later = (array("q", map(q.__rmod__, islice(count(0, g), q))) for g in rows[0][1:])
+        return PointSet((array("q", range(q)), *later), q)
 
-    columns = [(0,)] * d  # one parent, the zero combination
+    columns = [array("q", [0])] * d  # one parent, the zero combination
     for level, row in enumerate(rows):
         pivot = row[level]
         m = q // pivot
-        # the first child adds c0 = -(v_l // pivot) times the row
-        shifts = list(map(pivot.__rfloordiv__, columns[level]))
+        if any(row[level + 1 :]):
+            # the first child adds c0 = -(v_l // pivot) times the row
+            shifts = list(map(pivot.__rfloordiv__, columns[level]))
         children = []
         for j, (column, r) in enumerate(zip(columns, row)):
             if j == level:
-                runs = map(range, map(pivot.__rmod__, column), repeat(q), repeat(pivot))
-            elif r == 0:  # every j < level, and zeros above later pivots
-                runs = map(repeat, column, repeat(m))
-            else:
+                children.append(_progressions(list(map(pivot.__rmod__, column)), pivot, m))
+            elif r:
                 starts = list(map(q.__rmod__, map(sub, column, map(r.__mul__, shifts))))
-                runs = map(range, starts, map((m * r).__add__, starts), repeat(r))
-            children.append(array("q", chain.from_iterable(runs)))
+                children.append(_progressions(starts, r, m))
+            else:  # every j < level, and zeros above later pivots
+                children.append(_stretch(column, m))
         columns = children
     return PointSet(columns, q)
+
+
+def _stretch(column: array, m: int) -> array:
+    """Each entry of column repeated m times in place."""
+    if m > len(column):  # loop in Python over the shorter count
+        return array("q", chain.from_iterable(map(repeat, column, repeat(m))))
+    out = array("q", [0]) * (len(column) * m)
+    for c in range(m):
+        out[c::m] = column
+    return out
+
+
+def _progressions(starts: list, step: int, m: int) -> array:
+    """start, start + step, ..., start + (m - 1) step for each start."""
+    if m >= len(starts):  # loop in Python over the shorter count
+        stops = map((m * step).__add__, starts)
+        return array("q", chain.from_iterable(map(range, starts, stops, repeat(step))))
+    out = array("q", [0]) * (len(starts) * m)
+    for c in range(m):
+        out[c::m] = array("q", map((c * step).__add__, starts))
+    return out
 
 
 def to_json(lattice: IntegrationLattice) -> str:

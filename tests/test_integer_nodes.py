@@ -11,8 +11,10 @@ give the Fraction walk's nodes in its order, and the text `points` prints
 for each numerator must be the Fraction's.
 """
 
+import random
 from array import array
 from fractions import Fraction
+from hashlib import sha256
 from math import gcd
 
 import pytest
@@ -78,6 +80,31 @@ def _closed_form_shape(lat):
         for i, row in enumerate(rows)
         if i
     )
+
+
+def _axes(*m):
+    """(1/m_1)Z x ... x (1/m_d)Z."""
+    return lattice.from_basis([[F(int(i == j), mj) for j, mj in enumerate(m)] for i in range(len(m))])
+
+
+def _fills(lat):
+    """The (column kind, regime) pairs of the general walk's fills on lat.
+    The kind is "level" for the coordinate a level fixes, "entry" for a
+    column under a nonzero row entry and "zero" for the rest; the regime is
+    "strided" where a loop over the m children per parent is the shorter
+    (m < P parents for runs, m <= P for zero columns), else "per-parent"."""
+    rows, q = lat.rows, lat.denominator
+    parents, fills = 1, set()
+    for level, row in enumerate(rows):
+        m = q // row[level]
+        for j, r in enumerate(row):
+            if j == level or r:
+                kind = "level" if j == level else "entry"
+                fills.add((kind, "strided" if m < parents else "per-parent"))
+            else:
+                fills.add(("zero", "strided" if m <= parents else "per-parent"))
+        parents *= m
+    return fills
 
 
 @st.composite
@@ -233,6 +260,87 @@ class TestWalkBranches:
     )
     def test_general_walk(self, lat):
         assert not _closed_form_shape(lat)
+        _assert_matches_fraction_walk(lattice.enumerate_points(lat), lat)
+
+    @pytest.mark.parametrize(
+        "lat, fill",
+        [
+            # (1/2)Z x (1/5)Z: q = 10, H = diag(5, 2); level 1 has 2 parents
+            # of 5 children
+            (_axes(2, 5), ("zero", "per-parent")),
+            (_axes(2, 5), ("level", "per-parent")),
+            # (1/5)Z x (1/2)Z: H = diag(2, 5); 5 parents of 2 children
+            (_axes(5, 2), ("zero", "strided")),
+            (_axes(5, 2), ("level", "strided")),
+            # (1/4)Z^2: 4 parents of 4 children, where a stretch is strided
+            # and a run is one range per parent
+            (_axes(4, 4), ("zero", "strided")),
+            (_axes(4, 4), ("level", "per-parent")),
+            # scaled rows [[3, 0, 0], [0, 2, 4], [0, 0, 6]]: the entry 4
+            # at level 1, 2 parents of 3 children
+            (lattice.from_rank1(6, (3, 2, 4)), ("entry", "per-parent")),
+            # [[3, 2, 16], [0, 6, 12], [0, 0, 18]]: the entry 12 at level 1,
+            # 6 parents of 3 children
+            (lattice.from_rank1(18, (15, 10, 8)), ("entry", "strided")),
+        ],
+        ids=[
+            "zero-per-parent", "level-per-parent", "zero-strided", "level-strided",
+            "m=P-zero", "m=P-level", "entry-per-parent", "entry-strided",
+        ],
+    )
+    def test_fill_regimes(self, lat, fill):
+        assert not _closed_form_shape(lat)
+        assert fill in _fills(lat)
+        _assert_matches_fraction_walk(lattice.enumerate_points(lat), lat)
+
+    @pytest.mark.parametrize(
+        "axes, fill, digests",
+        [
+            # 100000 parents of 2 children
+            (
+                (100000, 2),
+                ("level", "strided"),
+                (
+                    "cf4f86daf5a5a29440b83a5179b71f566cd9e70c625f4e5b5f50e9617335178e",
+                    "5300c388bce2d715a1b48072cd55c5b5443e6dea109c9ea7f4d28c07edae7d7f",
+                ),
+            ),
+            # 2 parents of 100000 children
+            (
+                (2, 100000),
+                ("level", "per-parent"),
+                (
+                    "f93cc7aa6e05fe3dee07f8eacb32e0269193bbde6a73d5cf8ea0a0df1bf570d1",
+                    "98e351ac519063a9dbc345291cf8a7158a405e002a83088e7e3eda4412c6ee24",
+                ),
+            ),
+        ],
+        ids=["wide-then-narrow", "narrow-then-wide"],
+    )
+    def test_lopsided(self, axes, fill, digests):
+        """N = 200000 is too many nodes for the Fraction walk: each column's
+        SHA-256 over its comma-joined numerators was recorded from the walk
+        that built one range or repeat per parent at every level."""
+        lat = _axes(*axes)
+        assert fill in _fills(lat)
+        pts = lattice.enumerate_points(lat, cap=200000)
+        digest = [sha256(",".join(map(str, c)).encode()).hexdigest() for c in pts.columns]
+        assert len(pts) == 200000 and tuple(digest) == digests
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    @pytest.mark.parametrize("axes", [(16, 16, 16), (45, 45, 2)], ids=["scaled-16", "bad-45"])
+    def test_benchmark_grids(self, axes, seed):
+        """The grids of the benchmark's grid3d workload, given by a basis
+        re-presented with a seeded unimodular matrix, as the workload does."""
+        rng = random.Random(seed)
+        order = rng.sample(range(3), 3)
+        u = [[int(j == order[i]) * rng.choice((1, -1)) for j in range(3)] for i in range(3)]
+        for _ in range(8):
+            i, j = rng.sample(range(3), 2)
+            k = rng.choice((-2, -1, 1, 2))
+            u[i] = [a + k * b for a, b in zip(u[i], u[j])]
+        lat = lattice.from_basis([[F(x, m) for x, m in zip(row, axes)] for row in u])
+        assert lat == _axes(*axes) and u != [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
         _assert_matches_fraction_walk(lattice.enumerate_points(lat), lat)
 
 

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from latdisc import lattice
+from latdisc import linalg, lattice, reduction
 from latdisc.errors import (
     CapExceededError,
     InputError,
@@ -169,6 +169,53 @@ class TestDual:
         for row in lattice.dual(lat):
             for p in oracles.nodes(lattice.enumerate_points(lat)):
                 assert sum(h * x for h, x in zip(row, p)).denominator == 1
+
+
+class TestInverseReuse:
+    """from_basis keeps the rows of q H^-1 it computes to test Z^d <= L,
+    and dual reuses them instead of inverting H again."""
+
+    # (1/4)Z x (1/3)Z x (1/2)Z, re-presented by a unimodular matrix
+    ROWS = [[F(1, 4), F(1, 3), 0], [0, F(1, 3), F(1, 2)], [F(1, 4), F(2, 3), 1]]
+
+    @pytest.fixture
+    def inverse_calls(self, monkeypatch):
+        calls = []
+
+        def spy(rows, scale):
+            calls.append(rows)
+            return inverse(rows, scale)
+
+        inverse = linalg.inverse
+        monkeypatch.setattr(linalg, "inverse", spy)
+        return calls
+
+    def test_dual_of_from_basis_inverts_once(self, inverse_calls):
+        lat = lattice.from_basis(self.ROWS)
+        basis = lattice.dual(lat)
+        assert len(inverse_calls) == 1
+        assert basis == lattice.dual(lattice.IntegrationLattice(lat.rows, lat.denominator))
+
+    def test_basis_json_then_spectral_test_inverts_once(self, inverse_calls):
+        lat = lattice.from_json(lattice.to_json(lattice.from_basis(self.ROWS)))
+        inverse_calls.clear()
+        lat = lattice.from_json(lattice.to_json(lat))
+        reduction.spectral_test(lat)
+        assert len(inverse_calls) == 1
+
+    def test_direct_construction_still_inverts(self, inverse_calls):
+        lat = lattice.from_basis(self.ROWS)
+        direct = lattice.IntegrationLattice(lat.rows, lat.denominator)
+        inverse_calls.clear()
+        assert lattice.dual(direct) == lattice.dual(lat)
+        assert len(inverse_calls) == 1
+
+    def test_kept_rows_do_not_change_identity(self):
+        lat = lattice.from_basis(self.ROWS)
+        direct = lattice.IntegrationLattice(lat.rows, lat.denominator)
+        assert lat._inverse is not None and direct._inverse is None
+        assert lat == direct and hash(lat) == hash(direct)
+        assert repr(lat) == repr(direct)
 
 
 class TestMembership:
