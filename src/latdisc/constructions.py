@@ -13,7 +13,8 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from itertools import product, takewhile
+from operator import mul
 
 from . import directed, kernels, reduction
 from .errors import CapExceededError, InputError, InvariantViolationError
@@ -162,8 +163,23 @@ def _generators(n: int, d: int, mode: str):
             yield [1, *tail]
 
 
+def _representatives(n: int, d: int, mode: str):
+    # the generators g with 2 g[1] <= n, in _generators order; g[1] is the
+    # leading free coordinate, so they all come before the first g[1] > n / 2
+    return takewhile(lambda g: 2 * g[1] <= n, _generators(n, d, mode))
+
+
+def _mirror_signs(d: int, mode: str) -> list[int]:
+    # the diagonal of D with mirror(g) == D g mod n: (1, -1, 1, ...) for the
+    # Korobov generator of n - a, (1, -1, ..., -1) for (1, n - a_2, ...)
+    if mode == "korobov":
+        return [(-1) ** i for i in range(d)]
+    return [1] + [-1] * (d - 1)
+
+
 def _dual_bases(n: int, d: int, mode: str):
-    # (g, basis of the dual lattice of g) in _generators(n, d, mode) order.
+    # (g, basis of the dual lattice of g) for the representatives g, in
+    # _generators(n, d, mode) order; korobov_search derives each mirror's.
     # In exhaustive mode the generators sharing a prefix P share its dual
     # basis: dual(P, a) is spanned by the rows of dual(P), each with a 0
     # appended, and (-a, 0, ..., 0, 1), since subtracting h[-1] times that
@@ -178,10 +194,10 @@ def _dual_bases(n: int, d: int, mode: str):
     # generator's unit row goes in after every prefix row no longer than
     # it, the place a stable sort of the prefix rows then the unit row gives
     if mode == "korobov" or d == 2:
-        for g in _generators(n, d, mode):
+        for g in _representatives(n, d, mode):
             yield g, sorted(_dual_rows_unit_leading(n, g), key=_norm_sq)
         return
-    for prefix in _generators(n, d - 1, mode):
+    for prefix in _representatives(n, d - 1, mode):
         head = [row + [0] for row in _dual_rows_unit_leading(n, prefix)]
         babai = _babai_constants(head)
         head.sort(key=_norm_sq)
@@ -248,8 +264,24 @@ def korobov_search(
     dual vector no longer than that (branch and bound, as in L'Ecuyer and
     Couture's spectral-test search).  The abort reaches into LLL, which
     gives up at entry or after a swap that brings such a vector to the
-    front.  Every dual basis is built from the Gauss-reduced dual basis of
-    the generator's first two coordinates (1, c), so LLL does not redo
+    front, and hands back the basis it stopped on, that vector first.
+
+    The generators pair up: the mirror m of g is the Korobov generator of
+    n - a in korobov mode and (1, n - a_2, ..., n - a_d) in exhaustive
+    mode, so m == D g mod n for a diagonal +-1 matrix D, and dual(m) =
+    D dual(g) is isometric to dual(g), with the same shortest norm.  The
+    search reduces only the representatives, the generators whose second
+    coordinate is at most n / 2 (at n = 2 the one generator is its own
+    mirror), and handles each mirror right after its twin: it counts as
+    searched, and its one LLL call starts from D times the basis the
+    twin's LLL returned.  That basis leads with a vector no longer than
+    the incumbent when the twin's LLL stopped, and is LLL-reduced
+    otherwise, so the mirror never repeats its twin's swaps.  A mirror
+    cannot win: it ties its twin, which is lexicographically smaller, so a
+    result from it raises InvariantViolationError.
+
+    Every dual basis is built from the Gauss-reduced dual basis of the
+    generator's first two coordinates (1, c), so LLL does not redo
     Euclid's algorithm on (n, c) through d x d swaps, and each unit row
     e_i - g_i e_0 comes reduced against that block by one Babai
     nearest-plane step, so the entry check sees the short vectors that
@@ -282,12 +314,21 @@ def korobov_search(
     best_norm = None
     best_g = None
     searched = 0
+    signs = _mirror_signs(d, mode)
     for g, rows in _dual_bases(n, d, mode):
         searched += 1
-        found = reduction.shortest_vector(rows, beat=best_norm)
+        reduced, found = reduction._reduce_and_enumerate(rows, best_norm)
         if found is not None:
-            best_norm = found[1]
+            best_norm = found[0]
             best_g = tuple(g)
+        if 2 * g[1] == n:
+            continue  # n = 2: g is its own mirror
+        searched += 1
+        mirrored = [list(map(mul, signs, row)) for row in reduced]
+        if reduction._reduce_and_enumerate(mirrored, best_norm)[1] is not None:
+            raise InvariantViolationError(
+                "generator search: a mirror generator beat its twin"
+            )
     check = reduction.spectral_test(
         from_rank1(n, best_g), digits=digits, svp_cap=svp_cap
     )

@@ -6,8 +6,10 @@ enumeration takes all rows), and the exact shortest-vector enumeration;
 every shortest-vector computation is lll_reduce then shortest_vectors.
 The 2d Gauss reduction gives the generator search's dual bases a reduced
 block before LLL; the search reduces each unit row against that block too,
-so LLL's entry check often rejects a basis outright, and hands LLL the rows
+so LLL's entry check often stops on a basis outright, and hands LLL the rows
 sorted by squared norm, so fewer swaps bring the shortest ones forward.
+LLL with `beat` returns the basis it stopped on, the short row first, and
+the search starts the reduction of each generator's mirror from it.
 Everything works on plain Python ints (arbitrary precision, no overflow by
 construction) and is deterministic.
 
@@ -113,17 +115,23 @@ def lll_reduce(rows, beat=None):
     Returns a new list of rows spanning the same lattice, LLL-reduced with
     parameter delta = 3/4.  Raises ValueError on dependent rows.
 
-    With `beat` set, returns None as soon as the lattice is known to hold a
-    nonzero vector of squared norm <= beat, as shortest_vectors does: at
-    entry when an input row qualifies, and right after each swap at k = 1,
-    when the new first row qualifies (d[1] = ||b_0||^2; only that swap
-    changes b_0).  Otherwise the result is the same as without `beat`.
-    A dependent row raises when reached, so with `beat` a call may return
-    None (still a true "a vector <= beat exists") before a later one.
+    With `beat` set, stops as soon as the lattice is known to hold a
+    nonzero vector of squared norm <= beat, and returns the basis it holds
+    then, that vector first, so shortest_vectors' entry check gives up on
+    it at once: at entry the first input row that qualifies moves to the
+    front, and right after each swap at k = 1 whose new first row qualifies
+    (d[1] = ||b_0||^2; only that swap changes b_0) the rows are returned as
+    they stand.  Otherwise the result is the same as without `beat`, so the
+    result leads with a row of squared norm <= beat exactly when the call
+    stopped.  A dependent row raises when reached, so with `beat` a call
+    may stop (still a true "a vector <= beat exists") before a later one.
     """
-    if beat is not None and min(_dot(row, row) for row in rows) <= beat:
-        return None
     b = [list(row) for row in rows]
+    if beat is not None:
+        for i, row in enumerate(b):
+            if _dot(row, row) <= beat:
+                b.insert(0, b.pop(i))
+                return b
     n = len(b)
     if n == 1:
         return b
@@ -175,7 +183,7 @@ def lll_reduce(rows, beat=None):
         if k > 1:
             k -= 1
         elif beat is not None and new_dk <= beat:
-            return None
+            return b
     return b
 
 
@@ -193,7 +201,12 @@ def shortest_vectors(rows, beat=None):
     first nonzero coordinate positive, sorted; or None, when `beat` is set,
     as soon as a nonzero vector of squared norm <= beat turns up.
     """
-    best = min(_dot(row, row) for row in rows)
+    # a basis LLL stopped with `beat` leads with its qualifying row
+    best = _dot(rows[0], rows[0])
+    if beat is not None and best <= beat:
+        return None
+    for row in rows[1:]:
+        best = min(best, _dot(row, row))
     if beat is not None and best <= beat:
         return None
     n = len(rows)

@@ -51,22 +51,29 @@ def shortest_vector(
     flipping signs so the first nonzero coordinate is positive, the
     lexicographically smallest is returned.  With `beat` set, returns None
     as soon as the lattice is known to hold a nonzero vector of squared
-    norm <= beat: inside LLL when an input row or a new first row
+    norm <= beat: when LLL stops on an input row or a new first row that
     qualifies, else at the first such vector the enumeration reaches.
     Zero or dependent rows raise InputError once LLL reaches them, so with
     `beat` a None, still true, can come first.  The rows are integers: a
     rational basis is scaled to integers first, since shortest vectors
     commute with uniform scaling.
     """
-    try:
-        reduced = kernels.lll_reduce(rows, beat=beat)
-        found = None if reduced is None else kernels.shortest_vectors(reduced, beat)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
+    found = _reduce_and_enumerate(rows, beat)[1]
     if found is None:
         return None
     least, ties = found
     return ties[0], least
+
+
+def _reduce_and_enumerate(rows, beat):
+    # (reduced, found): lll_reduce's basis and shortest_vectors of it, with
+    # either one's ValueError raised as InputError; korobov_search starts
+    # each mirror generator's reduction from its twin's `reduced`
+    try:
+        reduced = kernels.lll_reduce(rows, beat=beat)
+        return reduced, kernels.shortest_vectors(reduced, beat)
+    except ValueError as exc:
+        raise InputError(str(exc)) from exc
 
 
 # ---------------------------------------------------------------------------

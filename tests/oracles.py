@@ -421,11 +421,14 @@ def lll_reduce_reference(rows, beat=None):
     """The structured all-integer LLL that kernels.lll_reduce flattens:
     size reduction and the swap as closures over the integral Gram-Schmidt
     data, every division through _exact_div.  The kernel must return the
-    same rows, and None on the same inputs.
+    same rows, and stop with `beat` on the same inputs with the same basis:
+    the first input row of squared norm <= beat moved to the front, or the
+    rows as they stand after the swap at k = 1 that brings one first.
     """
-    if beat is not None and min(_dot(row, row) for row in rows) <= beat:
-        return None
     b = [list(row) for row in rows]
+    for i, row in enumerate(b):
+        if beat is not None and _dot(row, row) <= beat:
+            return [row, *b[:i], *b[i + 1 :]]
     n = len(b)
     if n == 1:
         return b
@@ -461,7 +464,7 @@ def lll_reduce_reference(rows, beat=None):
         if 4 * (d[k - 1] * d[k + 1] + lam_k * lam_k) < 3 * d[k] * d[k]:
             swap_rows(k)
             if k == 1 and beat is not None and d[1] <= beat:
-                return None
+                return b
             k = max(1, k - 1)
         else:
             for l in range(k - 2, -1, -1):

@@ -612,6 +612,28 @@ class TestSearch:
         assert len(lines) == 2
         assert lines[1].split(",")[0] == "17"
 
+    def test_mirror_win_exit_4(self, capsys, monkeypatch):
+        # a mirror generator's dual is isometric to its twin's, so a result
+        # from its reduction breaks an invariant; faked here on the search's
+        # second call, the mirror of the first generator
+        original = reduction._reduce_and_enumerate
+        calls = []
+
+        def fake_win(rows, beat):
+            calls.append(beat)
+            reduced, found = original(rows, beat)
+            if len(calls) == 2:
+                found = (beat + 1, [tuple(reduced[0])])
+            return reduced, found
+
+        monkeypatch.setattr(reduction, "_reduce_and_enumerate", fake_win)
+        code = cli.main(["search", "--n", "13", "--d", "3"])
+        captured = capsys.readouterr()
+        assert code == 4 and captured.out == ""
+        assert captured.err.splitlines() == [
+            "latdisc: invariant violation: generator search: a mirror generator beat its twin"
+        ]
+
     def test_composite_n_exit_2(self, capsys):
         assert cli.main(["search", "--n", "10", "--d", "2"]) == 2
 

@@ -217,11 +217,18 @@ class TestBeat:
         assert reduction.shortest_vector(rows, beat=0) == ((5, 0, 0), 25)
 
 
-class TestLLLBeat:
-    """kernels.lll_reduce with `beat`: None only when the lattice holds a
-    nonzero vector of squared norm <= beat, else the unaborted output.
+def _stopped(reduced, beat):
+    """Whether lll_reduce stopped with `beat`: a stopped basis leads with a
+    row of squared norm <= beat, and an unstopped one never does."""
+    return beat is not None and dot(reduced[0], reduced[0]) <= beat
 
-    It aborts exactly when an input row or the fully reduced first row is
+
+class TestLLLBeat:
+    """kernels.lll_reduce with `beat`: it stops only when the lattice holds
+    a nonzero vector of squared norm <= beat, and returns a basis of the
+    same lattice that leads with such a vector; else the unstopped output.
+
+    It stops exactly when an input row or the fully reduced first row is
     that short: a swap at k = 1 is the only step that changes the first
     row, it shrinks d[1] = ||b_0||^2, and the last such swap leaves the
     final first row, so checking after each of them is checking the end."""
@@ -234,27 +241,38 @@ class TestLLLBeat:
         entry = min(dot(row, row) for row in rows)
         first = dot(full[0], full[0])
         beat = _anchored_beat(rows, full, anchor) + offset
-        aborted = kernels.lll_reduce(rows, beat=beat)
-        if aborted is None:
+        reduced = kernels.lll_reduce(rows, beat=beat)
+        stopped = _stopped(reduced, beat)
+        assert linalg.hnf(reduced, len(rows)) == linalg.hnf(rows, len(rows))
+        if stopped:
             assert least <= beat
+            assert kernels.shortest_vectors(reduced, beat) is None
         else:
-            assert aborted == full
-        assert (aborted is None) == (entry <= beat or first <= beat)
+            assert reduced == full
+        assert stopped == (entry <= beat or first <= beat)
 
     def test_abort_after_first_swap(self):
         # the input rows have squared norms 10, 5, 49; size reduction turns
-        # the second into (-1, 0, 0) and the swap at k = 1 brings it first
+        # the second into (-1, 0, 0) and the swap at k = 1 brings it first,
+        # where beat = 1 stops with the rows as they stand
         rows = [[3, 1, 0], [2, 1, 0], [0, 0, 7]]
         full = [[-1, 0, 0], [0, 1, 0], [0, 0, 7]]
         assert kernels.lll_reduce(rows) == full
         assert kernels.lll_reduce(rows, beat=0) == full
-        assert kernels.lll_reduce(rows, beat=1) is None
+        assert kernels.lll_reduce(rows, beat=1) == [[-1, 0, 0], [3, 1, 0], [0, 0, 7]]
+
+    def test_entry_stop_moves_the_first_short_row_first(self):
+        # rows 1 and 2 both have squared norm <= 9; the first of them moves
+        # to the front and the others keep their order
+        rows = [[5, 0, 0], [0, 3, 0], [0, 0, 2]]
+        assert kernels.lll_reduce(rows, beat=9) == [[0, 3, 0], [5, 0, 0], [0, 0, 2]]
+        assert kernels.lll_reduce(rows, beat=4) == [[0, 0, 2], [5, 0, 0], [0, 3, 0]]
 
 
 class TestLLLReference:
     """kernels.lll_reduce, one flat loop, against the structured
-    oracles.lll_reduce_reference: the same rows at every rank, and None on
-    exactly the same (rows, beat) pairs."""
+    oracles.lll_reduce_reference: the same rows at every rank, and the same
+    stopping basis on exactly the same (rows, beat) pairs."""
 
     @given(
         st.one_of(
@@ -280,8 +298,8 @@ class TestLLLReference:
         + [("korobov", 503, 6), ("exhaustive", 13, 3), ("exhaustive", 7, 4)],
     )
     def test_search_stream_equals_reference(self, monkeypatch, mode, n, d):
-        # every (rows, beat) pair korobov_search hands LLL, the winner's
-        # re-verification included, against the eager reference
+        # every (rows, beat) pair korobov_search hands LLL, mirrors and the
+        # winner's re-verification included, against the eager reference
         stream = []
         original = kernels.lll_reduce
 
@@ -293,7 +311,7 @@ class TestLLLReference:
         monkeypatch.setattr(kernels, "lll_reduce", recording)
         r = constructions.korobov_search(n, d, mode)
         assert len(stream) == r.n_searched + 1
-        assert any(reduced is None for _, _, reduced in stream)
+        assert any(_stopped(reduced, beat) for _, beat, reduced in stream)
         for rows, beat, reduced in stream:
             assert reduced == oracles.lll_reduce_reference(rows, beat=beat)
 
@@ -317,7 +335,9 @@ class TestGeneratorSearch:
             (n, d, mode)
             for mode in ("korobov", "exhaustive")
             for n, d in ((5, 2), (13, 2), (7, 3), (5, 5), (7, 5))
-        ],
+        ]
+        # n = 2: the one generator is its own mirror; n = 3: one pair
+        + [(n, d, mode) for mode in ("korobov", "exhaustive") for n in (2, 3) for d in (2, 3)],
     )
     def test_search_equals_unpruned_scan(self, n, d, mode):
         best = None
@@ -338,14 +358,17 @@ class TestGeneratorSearch:
         "n,d", [(5, 2), (7, 2), (5, 3), (13, 3), (5, 4), (7, 4), (5, 5), (3, 6), (5, 6)]
     )
     def test_dual_bases_span_the_dual(self, n, d, mode):
-        # the bases come in _generators order, and each is built as the
-        # generator's unit-leading basis: it spans the same lattice as the
-        # raw unit-leading dual basis, starts with a Gauss-reduced 2d block,
+        # the bases come for the representatives g (2 g[1] <= n) in
+        # _generators order, and each is built as the generator's
+        # unit-leading basis: it spans the same lattice as the raw
+        # unit-leading dual basis, starts with a Gauss-reduced 2d block,
         # and every row after that block is a unit row reduced against it.
         # The rows handed over are those rows sorted by squared norm, ties
         # in build order
         pairs = list(constructions._dual_bases(n, d, mode))
-        assert [g for g, _ in pairs] == list(constructions._generators(n, d, mode))
+        assert [g for g, _ in pairs] == [
+            g for g in constructions._generators(n, d, mode) if 2 * g[1] <= n
+        ]
         for g, rows in pairs:
             built = constructions._dual_rows_unit_leading(n, g)
             raw = _raw_dual_rows(n, g)
@@ -386,6 +409,7 @@ class TestGeneratorSearch:
             ("exhaustive", 13, 4),
             ("korobov", 31, 2),
             ("exhaustive", 13, 2),
+            ("korobov", 503, 6),
         ],
     )
     def test_one_lll_per_generator(self, monkeypatch, mode, n, d):
@@ -401,3 +425,39 @@ class TestGeneratorSearch:
         monkeypatch.setattr(kernels, "lll_reduce", counting)
         r = constructions.korobov_search(n, d, mode)
         assert len(calls) == r.n_searched + 1
+
+    @pytest.mark.parametrize("mode", ["korobov", "exhaustive"])
+    @pytest.mark.parametrize("n", [2, 3, 13, 31])
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_every_lll_basis_spans_its_generators_dual(self, monkeypatch, mode, n, d):
+        # the search hands LLL each representative's basis, then its
+        # mirror's (none at n = 2), then the winner's for re-verification.
+        # Each of the first spans the raw unit-leading dual of the generator
+        # it stands for, the mirror taken here from its definition (the
+        # Korobov generator of n - a, or n minus each free coordinate), and
+        # together they stand for every generator once
+        bases = []
+        original = kernels.lll_reduce
+
+        def recording(rows, beat=None):
+            bases.append([list(row) for row in rows])
+            return original(rows, beat=beat)
+
+        monkeypatch.setattr(kernels, "lll_reduce", recording)
+        r = constructions.korobov_search(n, d, mode)
+        gens = []
+        for g in constructions._generators(n, d, mode):
+            if 2 * g[1] > n:
+                continue
+            gens.append(g)
+            if 2 * g[1] < n:
+                if mode == "korobov":
+                    gens.append(constructions._korobov_generator(n, n - g[1], d))
+                else:
+                    gens.append([1, *(n - x for x in g[1:])])
+        assert len(bases) == len(gens) + 1 == r.n_searched + 1
+        for g, rows in zip(gens, bases):
+            assert linalg.hnf(rows, d) == linalg.hnf(_raw_dual_rows(n, g), d)
+        assert sorted(map(tuple, gens)) == [
+            tuple(g) for g in constructions._generators(n, d, mode)
+        ]

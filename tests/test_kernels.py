@@ -115,10 +115,12 @@ class TestLLL:
 
     def test_beat_may_return_before_a_dependent_row(self):
         # the last row is the sum of the others; the swap at k = 1 brings
-        # (-1, 0, 0) first, and with beat = 1 that None comes before row 3
+        # (-1, 0, 0) first, and with beat = 1 LLL stops there before row 3
         # is reached: still true, the lattice holds a vector of norm 1
         rows = [[3, 1, 0], [2, 1, 0], [0, 0, 7], [5, 2, 7]]
-        assert kernels.lll_reduce(rows, beat=1) is None
+        assert kernels.lll_reduce(rows, beat=1) == [
+            [-1, 0, 0], [3, 1, 0], [0, 0, 7], [5, 2, 7]
+        ]
         with pytest.raises(ValueError, match="dependent rows"):
             kernels.lll_reduce(rows)
 
@@ -146,8 +148,8 @@ class TestLLL:
     def test_aborted_reduction_builds_fewer_rows(self, monkeypatch):
         # the korobov d = 6 dual basis of a = 8 modulo 503 with its unit
         # rows e_i - g[i] e_0 unreduced, reduced with the search's incumbent
-        # norm 7 at that generator: the swap at k = 1 that aborts comes with
-        # rows 0..3 built, so rows 4 and 5 never are
+        # norm 7 at that generator: the swap at k = 1 that stops it comes
+        # with rows 0..3 built, so rows 4 and 5 never are
         rows = [
             [-8, 1, 0, 0, 0, 0],
             [7, 62, 0, 0, 0, 0],
@@ -157,22 +159,28 @@ class TestLLL:
             [-73, 0, 0, 0, 0, 1],
         ]
         rows_built = self._count_gso_rows(monkeypatch)
-        assert kernels.lll_reduce(rows, beat=7) is None
+        stopped = kernels.lll_reduce(rows, beat=7)
+        assert _dot(stopped[0], stopped[0]) <= 7
         assert rows_built == [0, 1, 2, 3]
-        assert oracles.lll_reduce_reference(rows, beat=7) is None
+        assert oracles.lll_reduce_reference(rows, beat=7) == stopped
         # the search's own basis of that generator has its unit rows
         # reduced against the Gauss block: (-1, -1, 0, 1, 0, 0) of norm 3
-        # is among them, so LLL rejects it at entry with no row built
+        # is among them, so LLL stops at entry with no row built and hands
+        # that row back first
         g = constructions._korobov_generator(503, 8, 6)
         rows_built.clear()
-        assert kernels.lll_reduce(constructions._dual_rows_unit_leading(503, g), beat=7) is None
+        stopped = kernels.lll_reduce(constructions._dual_rows_unit_leading(503, g), beat=7)
+        assert stopped[0] == [-1, -1, 0, 1, 0, 0]
         assert rows_built == []
 
-    @pytest.mark.parametrize("n,d,entry", [(61, 3, 2855), (31, 4, 23402)])
+    @pytest.mark.parametrize("n,d,entry", [(61, 3, 3223), (31, 4, 25194)])
     def test_search_rejects_most_exhaustive_bases_at_entry(self, monkeypatch, n, d, entry):
         # the unit rows come reduced against the Gauss block, so LLL's entry
         # check rejects most exhaustive candidates before it builds a row
-        # (handed the raw rows e_i - g[i] e_0 it rejects 1225 and 8118)
+        # (handed the raw rows e_i - g[i] e_0 it rejected 1225 and 8118).
+        # A mirror's LLL starts from its twin's: when that stopped, it
+        # leads with the short row, and the mirror's stops at entry too
+        # (2855 and 23402 before each mirror started from its twin's basis)
         rows_built = self._count_gso_rows(monkeypatch)
         original = kernels.lll_reduce
         at_entry = []
@@ -180,15 +188,16 @@ class TestLLL:
         def recording(rows, beat=None):
             before = len(rows_built)
             reduced = original(rows, beat=beat)
-            if reduced is None and len(rows_built) == before:
+            stopped = beat is not None and _dot(reduced[0], reduced[0]) <= beat
+            if stopped and len(rows_built) == before:
                 at_entry.append(1)
             return reduced
 
         monkeypatch.setattr(kernels, "lll_reduce", recording)
         r = constructions.korobov_search(n, d, "exhaustive")
         assert r.n_searched == (n - 1) ** (d - 1)
-        # the entry check is a min over the rows, so the order in which
-        # the search hands them over does not move these counts
+        # whether some row passes the entry check does not depend on the
+        # order in which the search hands the rows over
         assert len(at_entry) == entry
 
     def test_sorted_bases_build_fewer_rows(self, monkeypatch):
@@ -197,11 +206,13 @@ class TestLLL:
         # the incumbent cuts short reaches fewer rows; over one whole
         # korobov d = 6 search at n = 503, LLL, enumeration and the
         # winner's re-check included, the rows in the order they were built
-        # (the Gauss block first) cost 2229 Gram-Schmidt rows
+        # (the Gauss block first) cost 2229 Gram-Schmidt rows, and sorted
+        # 1788.  Each mirror's LLL starts from its twin's stopping basis,
+        # which leads with the short row, and builds no row: 932
         rows_built = self._count_gso_rows(monkeypatch)
         r = constructions.korobov_search(503, 6)
         assert (r.generator, r.norm_sq) == ((1, 27, 226, 66, 273, 329), 10)
-        assert len(rows_built) == 1788
+        assert len(rows_built) == 932
 
     def test_input_not_mutated(self):
         rows = [[3, 5], [4, 9]]
