@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import latdisc
 import oracles
-from latdisc import constructions, kernels
+from latdisc import constructions, kernels, reduction
 
 # Every test that takes `mod` runs once, on the kernels module, under the id
 # "pure"; the ids keep these tests' names stable.  The box scans live in the
@@ -173,14 +173,9 @@ class TestLLL:
         assert stopped[0] == [-1, -1, 0, 1, 0, 0]
         assert rows_built == []
 
-    @pytest.mark.parametrize("n,d,entry", [(61, 3, 3223), (31, 4, 25194)])
-    def test_search_rejects_most_exhaustive_bases_at_entry(self, monkeypatch, n, d, entry):
-        # the unit rows come reduced against the Gauss block, so LLL's entry
-        # check rejects most exhaustive candidates before it builds a row
-        # (handed the raw rows e_i - g[i] e_0 it rejected 1225 and 8118).
-        # A mirror's LLL starts from its twin's: when that stopped, it
-        # leads with the short row, and the mirror's stops at entry too
-        # (2855 and 23402 before each mirror started from its twin's basis)
+    def _record_entry_stops(self, monkeypatch):
+        # one bool per lll_reduce call: whether it stopped at entry, that is
+        # with a row <= beat first and no Gram-Schmidt row built
         rows_built = self._count_gso_rows(monkeypatch)
         original = kernels.lll_reduce
         at_entry = []
@@ -189,16 +184,47 @@ class TestLLL:
             before = len(rows_built)
             reduced = original(rows, beat=beat)
             stopped = beat is not None and _dot(reduced[0], reduced[0]) <= beat
-            if stopped and len(rows_built) == before:
-                at_entry.append(1)
+            at_entry.append(stopped and len(rows_built) == before)
             return reduced
 
         monkeypatch.setattr(kernels, "lll_reduce", recording)
+        return at_entry
+
+    @pytest.mark.parametrize("n,d,entry", [(61, 3, 2855), (31, 4, 23402)])
+    def test_search_rejects_most_exhaustive_bases_at_entry(self, monkeypatch, n, d, entry):
+        # the unit rows come reduced against the Gauss block, so LLL's entry
+        # check rejects most exhaustive candidates before it builds a row:
+        # each generator's own basis, handed over in generator order with
+        # the shortest norm found so far (handed the raw rows e_i - g[i] e_0
+        # it rejected 1225 and 8118)
+        at_entry = self._record_entry_stops(monkeypatch)
+        best = None
+        for g in constructions._generators(n, d, "exhaustive"):
+            rows = sorted(constructions._dual_rows_unit_leading(n, g), key=constructions._norm_sq)
+            found = reduction.shortest_vector(rows, beat=best)
+            if found is not None:
+                best = found[1]
+        assert len(at_entry) == (n - 1) ** (d - 1)
+        # the entry check is a min over the rows, so the order in which
+        # they are handed over does not move these counts
+        assert sum(at_entry) == entry
+        assert best == constructions.korobov_search(n, d, "exhaustive").norm_sq
+
+    @pytest.mark.parametrize("n,d,entry", [(61, 3, 3223), (31, 4, 25194)])
+    def test_search_stops_every_mirror_at_entry(self, monkeypatch, n, d, entry):
+        # the search hands LLL each representative's basis, then its
+        # mirror's, which starts from the twin's returned basis: that leads
+        # with a row no longer than the incumbent when the twin stopped,
+        # and when the twin won, its LLL-reduced basis here holds the
+        # shortest vector as a row, so every mirror stops at entry and the
+        # search's count beats the 2855 and 23402 of each generator's own
+        # basis
+        at_entry = self._record_entry_stops(monkeypatch)
         r = constructions.korobov_search(n, d, "exhaustive")
         assert r.n_searched == (n - 1) ** (d - 1)
-        # whether some row passes the entry check does not depend on the
-        # order in which the search hands the rows over
-        assert len(at_entry) == entry
+        searched = at_entry[: r.n_searched]
+        assert all(searched[1::2])
+        assert sum(searched) == entry
 
     def test_sorted_bases_build_fewer_rows(self, monkeypatch):
         # the search hands LLL each dual basis sorted by squared norm, so
