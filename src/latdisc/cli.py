@@ -452,15 +452,19 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    args = build_parser(argv).parse_args(argv)
-    handler = _COMMANDS[args.command][2]
+    # every number printed is exact, so Python's cap on the digits of an
+    # int <-> str conversion is lifted while a command runs; an in-process
+    # caller gets its own cap back
+    digit_cap = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
     try:
+        args = build_parser(argv).parse_args(argv)
         for flag in ("cap", "svp_cap", "budget"):
             value = getattr(args, flag, 0)
             if value < 0:
                 flag = flag.replace("_", "-")
                 raise InputError(f"--{flag} must be nonnegative, got {value}")
-        return handler(args)
+        return _COMMANDS[args.command][2](args)
     except InputError as exc:
         print(f"latdisc: input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
@@ -473,6 +477,8 @@ def main(argv=None) -> int:
     except (InvariantViolationError, UndecidableComparisonError) as exc:
         print(f"latdisc: invariant violation: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
+    finally:
+        sys.set_int_max_str_digits(digit_cap)
 
 
 if __name__ == "__main__":

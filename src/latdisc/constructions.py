@@ -317,7 +317,8 @@ def korobov_search(
     signs = _mirror_signs(d, mode)
     for g, rows in _dual_bases(n, d, mode):
         searched += 1
-        reduced, found = reduction._reduce_and_enumerate(rows, best_norm)
+        reduced = kernels.lll_reduce(rows, beat=best_norm)
+        found = kernels.shortest_vectors(reduced, best_norm)
         if found is not None:
             best_norm = found[0]
             best_g = tuple(g)
@@ -325,7 +326,8 @@ def korobov_search(
             continue  # n = 2: g is its own mirror
         searched += 1
         mirrored = [list(map(mul, signs, row)) for row in reduced]
-        if reduction._reduce_and_enumerate(mirrored, best_norm)[1] is not None:
+        mirrored = kernels.lll_reduce(mirrored, beat=best_norm)
+        if kernels.shortest_vectors(mirrored, best_norm) is not None:
             raise InvariantViolationError(
                 "generator search: a mirror generator beat its twin"
             )

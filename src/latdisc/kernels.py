@@ -2,14 +2,12 @@
 
 These are the inner loops of the whole package: LLL reduction, the
 integral Gram-Schmidt data (LLL builds a row as it first reaches it, the
-enumeration takes all rows), and the exact shortest-vector enumeration;
-every shortest-vector computation is lll_reduce then shortest_vectors.
+enumeration takes all rows), and the exact shortest-vector enumeration.
+Every shortest vector is two calls its caller makes, lll_reduce then
+shortest_vectors; a zero or dependent row raises InputError, a ValueError.
 The 2d Gauss reduction gives the generator search's dual bases a reduced
-block before LLL; the search reduces each unit row against that block too,
-so LLL's entry check often stops on a basis outright, and hands LLL the rows
-sorted by squared norm, so fewer swaps bring the shortest ones forward.
-LLL with `beat` returns the basis it stopped on, the short row first, and
-the search starts the reduction of each generator's mirror from it.
+block before LLL; korobov_search tells how the search shapes the bases it
+hands LLL and starts each mirror from its twin's stopping basis.
 Everything works on plain Python ints (arbitrary precision, no overflow by
 construction) and is deterministic.
 
@@ -19,6 +17,8 @@ Fractions or lattices; callers scale rational bases to integers first.
 
 from math import isqrt, lcm
 from operator import mul
+
+from .errors import InputError
 
 
 def _dot(u, v):
@@ -40,13 +40,13 @@ def gauss_reduce_2d(rows):
 
     Returns [u, v] spanning the same lattice with ||u|| <= ||v|| and
     |2 <u, v>| <= ||u||^2, so u attains the lattice minimum.  Raises
-    ValueError on dependent or zero rows.
+    InputError, a ValueError, on dependent or zero rows.
     """
     (u0, u1), (v0, v1) = rows
     nu = u0 * u0 + u1 * u1
     nv = v0 * v0 + v1 * v1
     if nu == 0 or nv == 0:
-        raise ValueError("zero row in 2d basis")
+        raise InputError("zero row in 2d basis")
     while True:
         if nv < nu:
             u0, u1, v0, v1 = v0, v1, u0, u1
@@ -58,7 +58,7 @@ def gauss_reduce_2d(rows):
         v0, v1 = v0 - q * u0, v1 - q * u1
         nv = nv - q * (2 * t - q * nu)
         if nv == 0:
-            raise ValueError("dependent rows in 2d basis")
+            raise InputError("dependent rows in 2d basis")
     return [[u0, u1], [v0, v1]]
 
 
@@ -83,7 +83,7 @@ def _gso_row(b, d, lam, i):
         if j < i:
             lam_i[j] = u
         elif u <= 0:
-            raise ValueError("dependent rows in LLL input")
+            raise InputError("dependent rows in LLL input")
         else:
             d[i + 1] = u
 
@@ -94,7 +94,7 @@ def integral_gso(rows):
     Returns (d, lam): d[i] is the Gram determinant of the first i rows
     (d[0] = 1, d[i + 1] / d[i] = ||b*_i||^2) and lam[i][j] = d[j + 1] * mu_{i,j}
     for j < i, all integers; every division below is exact.  Raises
-    ValueError on dependent rows.  lll_reduce builds the same rows lazily.
+    InputError on dependent rows.  lll_reduce builds the same rows lazily.
     """
     n = len(rows)
     d, lam = [1] + [0] * n, [[0] * n for _ in range(n)]
@@ -113,7 +113,8 @@ def lll_reduce(rows, beat=None):
     `beat` cuts short never builds the rows it does not reach.
 
     Returns a new list of rows spanning the same lattice, LLL-reduced with
-    parameter delta = 3/4.  Raises ValueError on dependent rows.
+    parameter delta = 3/4, for the caller to hand to shortest_vectors.
+    Raises InputError, a ValueError, on a zero or dependent row.
 
     With `beat` set, stops as soon as the lattice is known to hold a
     nonzero vector of squared norm <= beat, and returns the basis it holds
@@ -133,8 +134,6 @@ def lll_reduce(rows, beat=None):
                 b.insert(0, b.pop(i))
                 return b
     n = len(b)
-    if n == 1:
-        return b
     d, lam = [1] + [0] * n, [[0] * n for _ in range(n)]
     _gso_row(b, d, lam, 0)
     k, k_max = 1, 0

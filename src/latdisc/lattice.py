@@ -307,7 +307,7 @@ def from_json(text: str) -> IntegrationLattice:
     """Parse the interchange JSON; raises InputError on malformed input."""
     try:
         payload = json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError is a ValueError
         raise InputError(f"invalid JSON: {exc}") from exc
     if not isinstance(payload, dict):
         raise InputError("lattice JSON must be an object")

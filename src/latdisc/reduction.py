@@ -10,13 +10,14 @@ orthogonal to that shortest dual vector h, consecutive planes exactly
 sigma(L) apart, so a large sigma certifies a coarse hyperplane structure.
 
 Everything here is exact and runs on integer rows: spectral_test hands
-shortest_vector the integral dual basis, as korobov_search does with the
-dual bases of its generators.  Every rank, 1 and 2 included, takes one
-path: all-integer LLL, then a Fincke-Pohst enumeration that runs in
-integers only.  The enumeration works on LLL's integral Gram-Schmidt data
-(Gram determinants d_i and lambda_ij = d_{j+1} mu_ij), scales every
-partial squared norm by one common multiple of the d_i d_{i+1}, and bounds
-each coefficient with an integer square root, so no Fraction and no float
+shortest_vector the integral dual basis.  Every rank, 1 and 2 included,
+takes one path, the two kernel calls korobov_search also makes itself:
+all-integer LLL, then a Fincke-Pohst enumeration that runs in integers
+only; both raise InputError, a ValueError, on a zero or dependent row.
+The enumeration works on LLL's integral Gram-Schmidt data (Gram
+determinants d_i and lambda_ij = d_{j+1} mu_ij), scales every partial
+squared norm by one common multiple of the d_i d_{i+1}, and bounds each
+coefficient with an integer square root, so no Fraction and no float
 enters the tree.  The enumeration is exact on any basis of the lattice;
 LLL reduction only makes its tree smaller, so its output is not re-checked
 at run time.  The LLL inequalities are certified by the test suite's
@@ -32,7 +33,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import directed, kernels, lattice as lattice_mod
-from .errors import CapExceededError, InputError
+from .errors import CapExceededError
 
 DEFAULT_SVP_CAP = 12
 
@@ -45,7 +46,7 @@ def shortest_vector(
     rows: list[list[int]], beat: int | None = None
 ) -> tuple[tuple[int, ...], int] | None:
     """Shortest nonzero vector of the integer lattice spanned by `rows`, as
-    (vector, norm_sq), by LLL and enumeration at every rank.
+    (vector, norm_sq): kernels.lll_reduce, then shortest_vectors, at every rank.
 
     Ties are broken deterministically: among all minimal vectors, after
     flipping signs so the first nonzero coordinate is positive, the
@@ -53,27 +54,16 @@ def shortest_vector(
     as soon as the lattice is known to hold a nonzero vector of squared
     norm <= beat: when LLL stops on an input row or a new first row that
     qualifies, else at the first such vector the enumeration reaches.
-    Zero or dependent rows raise InputError once LLL reaches them, so with
-    `beat` a None, still true, can come first.  The rows are integers: a
-    rational basis is scaled to integers first, since shortest vectors
-    commute with uniform scaling.
+    Zero or dependent rows raise InputError, a ValueError, once LLL reaches
+    them, so with `beat` a None, still true, can come first.  The rows are
+    integers: a rational basis is scaled to integers first, since shortest
+    vectors commute with uniform scaling.
     """
-    found = _reduce_and_enumerate(rows, beat)[1]
+    found = kernels.shortest_vectors(kernels.lll_reduce(rows, beat=beat), beat)
     if found is None:
         return None
     least, ties = found
     return ties[0], least
-
-
-def _reduce_and_enumerate(rows, beat):
-    # (reduced, found): lll_reduce's basis and shortest_vectors of it, with
-    # either one's ValueError raised as InputError; korobov_search starts
-    # each mirror generator's reduction from its twin's `reduced`
-    try:
-        reduced = kernels.lll_reduce(rows, beat=beat)
-        return reduced, kernels.shortest_vectors(reduced, beat)
-    except ValueError as exc:
-        raise InputError(str(exc)) from exc
 
 
 # ---------------------------------------------------------------------------

@@ -615,18 +615,18 @@ class TestSearch:
     def test_mirror_win_exit_4(self, capsys, monkeypatch):
         # a mirror generator's dual is isometric to its twin's, so a result
         # from its reduction breaks an invariant; faked here on the search's
-        # second call, the mirror of the first generator
-        original = reduction._reduce_and_enumerate
+        # second enumeration, the mirror of the first generator
+        original = kernels.shortest_vectors
         calls = []
 
-        def fake_win(rows, beat):
+        def fake_win(rows, beat=None):
             calls.append(beat)
-            reduced, found = original(rows, beat)
+            found = original(rows, beat)
             if len(calls) == 2:
-                found = (beat + 1, [tuple(reduced[0])])
-            return reduced, found
+                found = (beat + 1, [tuple(rows[0])])
+            return found
 
-        monkeypatch.setattr(reduction, "_reduce_and_enumerate", fake_win)
+        monkeypatch.setattr(kernels, "shortest_vectors", fake_win)
         code = cli.main(["search", "--n", "13", "--d", "3"])
         captured = capsys.readouterr()
         assert code == 4 and captured.out == ""
@@ -834,6 +834,43 @@ class TestPrecision:
         assert cli.main(args) == 2
         refused = "latdisc: input error: precision above 1600 significant digits is refused"
         assert capsys.readouterr().err.splitlines() == [refused, refused]
+
+
+class TestNumbersOfAnySize:
+    def test_commands_past_the_digit_cap(self, capsys, tmp_path, default_digit_cap):
+        # N has 3000 digits, so the lattice (1/N) Z^2 has N^2 points (6000
+        # digits) and its dual N Z^2 has shortest norm N^2, as has that of
+        # the rank-1 rule (N, (1)); main prints them whole and hands the
+        # caller back its cap
+        n = int("7" * 3000)
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(
+            {"kind": "basis", "dim": 2, "basis": [[f"1/{n}", "0"], ["0", f"1/{n}"]]}
+        ))
+        runs = []
+        for args in (
+            ["spectral", "--in", str(path)],
+            ["construct", "--in", str(path)],
+            ["verify", "--in", str(path)],
+            ["spectral", "--n", str(n), "--generator", "1"],
+        ):
+            code = cli.main(args)
+            assert sys.get_int_max_str_digits() == default_digit_cap
+            runs.append((code, capsys.readouterr()))
+        assert [code for code, _ in runs] == [0, 0, 3, 0]
+        sys.set_int_max_str_digits(0)  # to read the outputs back here
+        n_sq = n * n
+        spectral = json.loads(runs[0][1].out)["result"]
+        assert (spectral["n_points"], spectral["shortest_dual_norm_sq"]) == (n_sq, str(n_sq))
+        assert json.loads(runs[1][1].out) == {
+            "basis": [[f"1/{n}", "0"], ["0", f"1/{n}"]], "dim": 2, "kind": "basis",
+            "n": n_sq,
+        }
+        assert runs[2][1] == (
+            "", f"latdisc: cap exceeded: lattice has {n_sq} points, cap is 1000000\n"
+        )
+        rank1 = json.loads(runs[3][1].out)["result"]
+        assert (rank1["shortest_dual_norm_sq"], rank1["sigma_sq"]) == (str(n_sq), f"1/{n_sq}")
 
 
 class TestErrorPaths:

@@ -2,8 +2,9 @@
 benchmark's layer tracer (perfbench/layers.py) wraps by name; the package
 namespace is lazy, each name is its module's object, and every module
 imports on its own; every top-level definition in src/, and every method of
-a top-level class, is reachable from the commands; and only the CLI module
-imports the I/O modules."""
+a top-level class, is reachable from the commands; only the CLI module
+imports the I/O modules; and a library module reads another's private name
+only where CROSS_MODULE_PRIVATE lists it."""
 
 import ast
 import importlib
@@ -181,6 +182,42 @@ def test_modules_import_submodules_only():
                     and (path.stem, alias.name) != ("cli", "__version__")
                 ]
     assert found == []
+
+
+# the private names one library module still reads from another, as
+# (reader, "module._name"); a helper that only forwards another module's
+# calls belongs with its callers, or in the module that owns the calls
+CROSS_MODULE_PRIVATE = {
+    ("bounds", "directed._check_digits"),
+    ("cli", "directed._check_digits"),
+    ("constructions", "kernels._dot"),
+    ("constructions", "kernels._round_div"),
+}
+
+
+def test_cross_module_private_names_are_listed():
+    submodules = {path.stem for path in SRC.glob("*.py")} - {"__init__"}
+    found = set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        bound = {}  # local name -> submodule, from `from . import x as y`
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                for alias in node.names:
+                    if node.module is None and alias.name in submodules:
+                        bound[alias.asname or alias.name] = alias.name
+                    elif node.module in submodules and alias.name.startswith("_"):
+                        found.add((path.stem, f"{node.module}.{alias.name}"))
+        for node in ast.walk(tree):
+            if (
+                isinstance(node, ast.Attribute)
+                and isinstance(node.value, ast.Name)
+                and node.value.id in bound
+                and node.attr.startswith("_")
+                and not node.attr.startswith("__")
+            ):
+                found.add((path.stem, f"{bound[node.value.id]}.{node.attr}"))
+    assert sorted(found - CROSS_MODULE_PRIVATE) == []
 
 
 def test_traced_names_resolve():

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 import latdisc
 import oracles
 from latdisc import constructions, kernels, reduction
+from latdisc.errors import InputError
 
 # Every test that takes `mod` runs once, on the kernels module, under the id
 # "pure"; the ids keep these tests' names stable.  The box scans live in the
@@ -70,6 +71,24 @@ class TestGauss:
         assert _dot(u, u) <= _dot(v, v)
         assert abs(2 * _dot(u, v)) <= _dot(u, u)
         assert abs(_det2([u, v])) == abs(_det2(rows))
+
+
+@pytest.mark.parametrize(
+    "kernel,rows,message",
+    [
+        (kernels.lll_reduce, [[1, 2], [2, 4]], "dependent rows in LLL input"),
+        (kernels.lll_reduce, [[0]], "dependent rows in LLL input"),
+        (kernels.gauss_reduce_2d, [[0, 0], [1, 2]], "zero row in 2d basis"),
+        (kernels.gauss_reduce_2d, [[2, 4], [1, 2]], "dependent rows in 2d basis"),
+    ],
+    ids=["lll-dependent", "lll-one-zero-row", "gauss-zero-row", "gauss-dependent"],
+)
+def test_bad_rows_raise_input_error(kernel, rows, message):
+    # the kernels raise the library's own InputError, so a caller of
+    # lll_reduce and shortest_vectors needs no wrapper; one zero row goes
+    # through LLL's main loop, whose Gram-Schmidt set-up rejects it
+    with pytest.raises(InputError, match=f"^{message}$"):
+        kernel(rows)
 
 
 class TestLLL:

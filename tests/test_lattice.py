@@ -307,6 +307,13 @@ class TestJSON:
         with pytest.raises(InputError):
             lattice.from_json(text)
 
+    def test_integer_past_the_digit_cap_rejected(self, default_digit_cap):
+        # json.loads raises a plain ValueError, not a JSONDecodeError, for an
+        # integer literal longer than the cap
+        text = '{"kind": "rank1", "dim": 1, "n": %s, "generator": [1]}' % ("7" * 5000)
+        with pytest.raises(InputError, match="^invalid JSON: Exceeds the limit"):
+            lattice.from_json(text)
+
 
 class TestStructuralInvariants:
     @given(
