@@ -24,6 +24,11 @@ from .lattice import IntegrationLattice, from_basis, from_rank1
 # lattice.DEFAULT_ENUM_CAP lets a command enumerate
 SEARCH_CAP = 10**6
 
+# the most integers korobov_search keeps at once in its orbit twins' d x d
+# bases, which unbounded peak near n / 8 bases (125 351 at n = 999 983); a
+# twin whose basis found no room is reduced from one built for it
+_KEPT_INTS = 2**18
+
 
 def fibonacci_lattice(m: int) -> IntegrationLattice:
     """Rank-1 lattice with N = F_m points and generator (1, F_{m-1}).
@@ -177,9 +182,12 @@ def _mirror_signs(d: int, mode: str) -> list[int]:
     return [1] + [-1] * (d - 1)
 
 
-def _dual_bases(n: int, d: int, mode: str):
+def _dual_bases(n: int, d: int, mode: str, kept=None):
     # (g, basis of the dual lattice of g) for the representatives g, in
-    # _generators(n, d, mode) order; korobov_search derives each mirror's.
+    # _generators(n, d, mode) order; korobov_search derives each mirror's,
+    # and in korobov mode each orbit twin's: a basis it keeps in `kept`
+    # under g[1] is popped and handed over as it is, neither built nor
+    # sorted.
     # In exhaustive mode the generators sharing a prefix P share its dual
     # basis: dual(P, a) is spanned by the rows of dual(P), each with a 0
     # appended, and (-a, 0, ..., 0, 1), since subtracting h[-1] times that
@@ -195,7 +203,8 @@ def _dual_bases(n: int, d: int, mode: str):
     # it, the place a stable sort of the prefix rows then the unit row gives
     if mode == "korobov" or d == 2:
         for g in _representatives(n, d, mode):
-            yield g, sorted(_dual_rows_unit_leading(n, g), key=_norm_sq)
+            rows = kept.pop(g[1], None) if kept else None
+            yield g, rows or sorted(_dual_rows_unit_leading(n, g), key=_norm_sq)
         return
     for prefix in _representatives(n, d - 1, mode):
         head = [row + [0] for row in _dual_rows_unit_leading(n, prefix)]
@@ -280,6 +289,21 @@ def korobov_search(
     cannot win: it ties its twin, which is lexicographically smaller, so a
     result from it raises InvariantViolationError.
 
+    In korobov mode the representatives pair up too, in the standard
+    equivalence of Korobov rules (Sloan and Joe, Lattice Methods for
+    Multiple Integration, 1994): the generator of b = a^-1 mod n, times the
+    unit a^(d-1), is the generator of a with its coordinates reversed, so
+    dual(b) = P dual(a) for the reversal P, and dual(n - b) = D P dual(a).
+    When a's orbit twin r = min(b, n - b) lies beyond a, the search keeps P
+    (or D P when r = n - b) times the basis a's LLL returned, and r's one
+    LLL call starts from it; r's own basis is neither built nor sorted.  P
+    and D are isometries, so the kept basis either leads with a vector no
+    longer than an earlier incumbent, and the incumbent only grows, or is
+    already LLL-reduced.  The kept bases are a cache of at most _KEPT_INTS
+    integers: a twin whose basis was not kept is reduced from its own, and
+    as what LLL and the enumeration find depends only on the lattice and
+    the incumbent, the result is the same either way.
+
     Every dual basis is built from the Gauss-reduced dual basis of the
     generator's first two coordinates (1, c), so LLL does not redo
     Euclid's algorithm on (n, c) through d x d swaps, and each unit row
@@ -315,13 +339,22 @@ def korobov_search(
     best_g = None
     searched = 0
     signs = _mirror_signs(d, mode)
-    for g, rows in _dual_bases(n, d, mode):
+    kept = {} if mode == "korobov" else None
+    for g, rows in _dual_bases(n, d, mode, kept):
         searched += 1
         reduced = kernels.lll_reduce(rows, beat=best_norm)
         found = kernels.shortest_vectors(reduced, best_norm)
         if found is not None:
             best_norm = found[0]
             best_g = tuple(g)
+        if kept is not None:
+            b = pow(g[1], -1, n)
+            r = min(b, n - b)
+            if r > g[1] and (len(kept) + 1) * d * d <= _KEPT_INTS:
+                twin = [row[::-1] for row in reduced]
+                if r < b:
+                    twin = [list(map(mul, signs, row)) for row in twin]
+                kept[r] = twin
         if 2 * g[1] == n:
             continue  # n = 2: g is its own mirror
         searched += 1

@@ -461,3 +461,125 @@ class TestGeneratorSearch:
         assert sorted(map(tuple, gens)) == [
             tuple(g) for g in constructions._generators(n, d, mode)
         ]
+
+
+class TestOrbitTwins:
+    """korobov_search reduces each Korobov lattice once per a -> a^-1 orbit.
+
+    The Korobov generator of b = a^-1 mod n, times the unit a^(d-1), is the
+    generator of a with its coordinates reversed, so dual(b) = P dual(a) for
+    the reversal P, and dual(n - b) = D P dual(a) with the mirror signs D.
+    The search keeps P (or D P) times a's returned basis for the twin
+    min(b, n - b) when the scan has yet to reach it, within a bound on the
+    integers kept."""
+
+    @staticmethod
+    def _hnf_of_generator(n, a, d):
+        g = constructions._korobov_generator(n, a, d)
+        return linalg.hnf(_raw_dual_rows(n, g), d)
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("n", [31, 61, 503])
+    def test_orbit_identity(self, n, d):
+        signs = constructions._mirror_signs(d, "korobov")
+        swap_misses = 0
+        for a in range(1, n):
+            b = pow(a, -1, n)
+            raw = _raw_dual_rows(n, constructions._korobov_generator(n, a, d))
+            reversed_rows = [row[::-1] for row in raw]
+            assert linalg.hnf(reversed_rows, d) == self._hnf_of_generator(n, b, d)
+            flipped = [[s * x for s, x in zip(signs, row)] for row in reversed_rows]
+            assert linalg.hnf(flipped, d) == self._hnf_of_generator(n, n - b, d)
+            # a wrong permutation: swap only the first and last coordinates,
+            # which is the reversal itself at d <= 3
+            swapped = [[row[-1], *row[1:-1], row[0]] for row in raw]
+            swap_misses += linalg.hnf(swapped, d) != self._hnf_of_generator(n, b, d)
+        if d <= 3:
+            assert swap_misses == 0
+        else:
+            assert swap_misses > 0
+
+    @pytest.mark.parametrize("n,d", [(31, 4), (61, 5), (61, 6)])
+    def test_every_lll_basis_spans_its_generators_dual_past_d3(self, monkeypatch, n, d):
+        # as test_every_lll_basis_spans_its_generators_dual, at d >= 4,
+        # where a twin's basis taken with the wrong coordinate permutation
+        # (a swap of only the first and last) spans another lattice: each
+        # representative's basis, its mirror's, then the winner's; the
+        # first stand for every generator once
+        bases = []
+        original = kernels.lll_reduce
+
+        def recording(rows, beat=None):
+            bases.append([list(row) for row in rows])
+            return original(rows, beat=beat)
+
+        monkeypatch.setattr(kernels, "lll_reduce", recording)
+        r = constructions.korobov_search(n, d)
+        gens = []
+        for a in range(1, n // 2 + 1):
+            gens.append(constructions._korobov_generator(n, a, d))
+            gens.append(constructions._korobov_generator(n, n - a, d))
+        assert len(bases) == len(gens) + 1 == r.n_searched + 1
+        for g, rows in zip(gens, bases):
+            assert linalg.hnf(rows, d) == linalg.hnf(_raw_dual_rows(n, g), d)
+        assert sorted(map(tuple, gens)) == [
+            tuple(g) for g in constructions._generators(n, d, "korobov")
+        ]
+
+    @staticmethod
+    def _search_with_counts(monkeypatch, n, d):
+        # the result, the LLL calls and the bases built by
+        # _dual_rows_unit_leading of one korobov search
+        lll_calls, built = [], []
+        lll, build = kernels.lll_reduce, constructions._dual_rows_unit_leading
+
+        def counting_lll(rows, beat=None):
+            lll_calls.append(1)
+            return lll(rows, beat=beat)
+
+        def counting_build(*args):
+            built.append(1)
+            return build(*args)
+
+        with monkeypatch.context() as m:
+            m.setattr(kernels, "lll_reduce", counting_lll)
+            m.setattr(constructions, "_dual_rows_unit_leading", counting_build)
+            r = constructions.korobov_search(n, d)
+        return r, len(lll_calls), len(built)
+
+    @pytest.mark.parametrize("bases", [0, 1], ids=["no-basis", "one-basis"])
+    @pytest.mark.parametrize("n,d", [(503, 6), (1009, 4)])
+    def test_kept_bases_within_bound(self, monkeypatch, n, d, bases):
+        # the kept bases are a cache: with room for none or for one basis
+        # the result, n_searched and the LLL calls are the default run's,
+        # and the integers kept, read after each representative, reach the
+        # bound and never pass it
+        default = self._search_with_counts(monkeypatch, n, d)
+        bound = bases * d * d
+        monkeypatch.setattr(constructions, "_KEPT_INTS", bound)
+        kept_ints = []
+        original = constructions._dual_bases
+
+        def spying(n, d, mode, kept=None):
+            for item in original(n, d, mode, kept):
+                yield item
+                kept_ints.append(sum(len(row) for rows in kept.values() for row in rows))
+
+        monkeypatch.setattr(constructions, "_dual_bases", spying)
+        r, lll_calls, built = self._search_with_counts(monkeypatch, n, d)
+        assert (r, lll_calls) == default[:2]
+        assert len(kept_ints) == (n - 1) // 2
+        assert max(kept_ints) == bound
+        assert built > default[2]
+
+    def test_one_basis_built_per_orbit(self, monkeypatch):
+        # 503 = 3 mod 4, so -1 is not a square mod 503 and a^2 = +-1 only
+        # for a = +-1: of the 251 representatives a <= n / 2, a = 1 is its
+        # own twin and the other 250 pair up as {a, min(a^-1, n - a^-1)},
+        # so 1 + 250 / 2 = 126 bases are built; with no room to keep a
+        # twin's basis, all 251 are
+        r, _, built = self._search_with_counts(monkeypatch, 503, 6)
+        assert (r.n_searched, built) == (502, 126)
+        monkeypatch.setattr(constructions, "_KEPT_INTS", 0)
+        r, _, built = self._search_with_counts(monkeypatch, 503, 6)
+        assert (r.n_searched, built) == (502, 251)
