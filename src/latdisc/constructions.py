@@ -24,11 +24,6 @@ from .lattice import IntegrationLattice, from_basis, from_rank1
 # lattice.DEFAULT_ENUM_CAP lets a command enumerate
 SEARCH_CAP = 10**6
 
-# the most integers korobov_search keeps at once in its orbit twins' d x d
-# bases, which unbounded peak near n / 8 bases (125 351 at n = 999 983); a
-# twin whose basis found no room is reduced from one built for it
-_KEPT_INTS = 2**18
-
 
 def fibonacci_lattice(m: int) -> IntegrationLattice:
     """Rank-1 lattice with N = F_m points and generator (1, F_{m-1}).
@@ -169,8 +164,16 @@ def _generators(n: int, d: int, mode: str):
 
 
 def _representatives(n: int, d: int, mode: str):
-    # the generators g with 2 g[1] <= n, in _generators order; g[1] is the
-    # leading free coordinate, so they all come before the first g[1] > n / 2
+    # the least generator of each of korobov_search's orbits, in
+    # _generators order: the g with 2 g[1] <= n (g[1] is the leading free
+    # coordinate, so they all come before the first g[1] > n / 2), and in
+    # korobov mode only the a with min(b, n - b) >= a for b = a^-1 mod n
+    if mode == "korobov":
+        return (
+            _korobov_generator(n, a, d)
+            for a in range(1, n // 2 + 1)
+            if min(b := pow(a, -1, n), n - b) >= a
+        )
     return takewhile(lambda g: 2 * g[1] <= n, _generators(n, d, mode))
 
 
@@ -182,12 +185,10 @@ def _mirror_signs(d: int, mode: str) -> list[int]:
     return [1] + [-1] * (d - 1)
 
 
-def _dual_bases(n: int, d: int, mode: str, kept=None):
+def _dual_bases(n: int, d: int, mode: str):
     # (g, basis of the dual lattice of g) for the representatives g, in
-    # _generators(n, d, mode) order; korobov_search derives each mirror's,
-    # and in korobov mode each orbit twin's: a basis it keeps in `kept`
-    # under g[1] is popped and handed over as it is, neither built nor
-    # sorted.
+    # _generators(n, d, mode) order; korobov_search derives the bases of
+    # the other members of g's orbit from the basis g's LLL returns.
     # In exhaustive mode the generators sharing a prefix P share its dual
     # basis: dual(P, a) is spanned by the rows of dual(P), each with a 0
     # appended, and (-a, 0, ..., 0, 1), since subtracting h[-1] times that
@@ -203,8 +204,7 @@ def _dual_bases(n: int, d: int, mode: str, kept=None):
     # it, the place a stable sort of the prefix rows then the unit row gives
     if mode == "korobov" or d == 2:
         for g in _representatives(n, d, mode):
-            rows = kept.pop(g[1], None) if kept else None
-            yield g, rows or sorted(_dual_rows_unit_leading(n, g), key=_norm_sq)
+            yield g, sorted(_dual_rows_unit_leading(n, g), key=_norm_sq)
         return
     for prefix in _representatives(n, d - 1, mode):
         head = [row + [0] for row in _dual_rows_unit_leading(n, prefix)]
@@ -275,34 +275,25 @@ def korobov_search(
     gives up at entry or after a swap that brings such a vector to the
     front, and hands back the basis it stopped on, that vector first.
 
-    The generators pair up: the mirror m of g is the Korobov generator of
-    n - a in korobov mode and (1, n - a_2, ..., n - a_d) in exhaustive
-    mode, so m == D g mod n for a diagonal +-1 matrix D, and dual(m) =
-    D dual(g) is isometric to dual(g), with the same shortest norm.  The
-    search reduces only the representatives, the generators whose second
-    coordinate is at most n / 2 (at n = 2 the one generator is its own
-    mirror), and handles each mirror right after its twin: it counts as
-    searched, and its one LLL call starts from D times the basis the
-    twin's LLL returned.  That basis leads with a vector no longer than
-    the incumbent when the twin's LLL stopped, and is LLL-reduced
-    otherwise, so the mirror never repeats its twin's swaps.  A mirror
-    cannot win: it ties its twin, which is lexicographically smaller, so a
-    result from it raises InvariantViolationError.
-
-    In korobov mode the representatives pair up too, in the standard
-    equivalence of Korobov rules (Sloan and Joe, Lattice Methods for
-    Multiple Integration, 1994): the generator of b = a^-1 mod n, times the
-    unit a^(d-1), is the generator of a with its coordinates reversed, so
-    dual(b) = P dual(a) for the reversal P, and dual(n - b) = D P dual(a).
-    When a's orbit twin r = min(b, n - b) lies beyond a, the search keeps P
-    (or D P when r = n - b) times the basis a's LLL returned, and r's one
-    LLL call starts from it; r's own basis is neither built nor sorted.  P
-    and D are isometries, so the kept basis either leads with a vector no
-    longer than an earlier incumbent, and the incumbent only grows, or is
-    already LLL-reduced.  The kept bases are a cache of at most _KEPT_INTS
-    integers: a twin whose basis was not kept is reduced from its own, and
-    as what LLL and the enumeration find depends only on the lattice and
-    the incumbent, the result is the same either way.
+    The generators fall into orbits of isometric dual lattices, with one
+    shortest norm.  The mirror m of g is the Korobov generator of n - a in
+    korobov mode and (1, n - a_2, ..., n - a_d) in exhaustive mode, so
+    m == D g mod n for a diagonal +-1 matrix D, and dual(m) = D dual(g).
+    In korobov mode the generator of b = a^-1 mod n, times the unit
+    a^(d-1), is a's generator with its coordinates reversed (the standard
+    equivalence of Korobov rules; Sloan and Joe, Lattice Methods for
+    Multiple Integration, 1994), so dual(b) = P dual(a) for the reversal
+    P, dual(n - b) = D P dual(a), and a's orbit is {a, n - a, b, n - b};
+    in exhaustive mode an orbit is a mirror pair (at n = 2 the one
+    generator is its own).  The search reduces only each orbit's least
+    generator, the representative, and right after it the orbit's other
+    members: each counts as searched, and its one LLL call starts from D,
+    P or D P times the basis the representative's LLL returned.  That
+    basis leads with a vector no longer than the incumbent when that LLL
+    stopped, and is LLL-reduced otherwise, so no member repeats its swaps.
+    A member cannot win: it ties the representative, which is
+    lexicographically smaller, so a result from it raises
+    InvariantViolationError.
 
     Every dual basis is built from the Gauss-reduced dual basis of the
     generator's first two coordinates (1, c), so LLL does not redo
@@ -339,31 +330,28 @@ def korobov_search(
     best_g = None
     searched = 0
     signs = _mirror_signs(d, mode)
-    kept = {} if mode == "korobov" else None
-    for g, rows in _dual_bases(n, d, mode, kept):
+    korobov = mode == "korobov"
+    for g, rows in _dual_bases(n, d, mode):
         searched += 1
         reduced = kernels.lll_reduce(rows, beat=best_norm)
         found = kernels.shortest_vectors(reduced, best_norm)
         if found is not None:
             best_norm = found[0]
             best_g = tuple(g)
-        if kept is not None:
-            b = pow(g[1], -1, n)
-            r = min(b, n - b)
-            if r > g[1] and (len(kept) + 1) * d * d <= _KEPT_INTS:
-                twin = [row[::-1] for row in reduced]
-                if r < b:
-                    twin = [list(map(mul, signs, row)) for row in twin]
-                kept[r] = twin
         if 2 * g[1] == n:
             continue  # n = 2: g is its own mirror
-        searched += 1
-        mirrored = [list(map(mul, signs, row)) for row in reduced]
-        mirrored = kernels.lll_reduce(mirrored, beat=best_norm)
-        if kernels.shortest_vectors(mirrored, best_norm) is not None:
-            raise InvariantViolationError(
-                "generator search: a mirror generator beat its twin"
-            )
+        images = [[list(map(mul, signs, row)) for row in reduced]]
+        if korobov and g[1] * g[1] % n not in (1, n - 1):
+            # a^2 != +-1, so b = a^-1 is neither a nor n - a: b and n - b
+            reversal = [row[::-1] for row in reduced]
+            images += [reversal, [list(map(mul, signs, row)) for row in reversal]]
+        for image in images:
+            searched += 1
+            image = kernels.lll_reduce(image, beat=best_norm)
+            if kernels.shortest_vectors(image, best_norm) is not None:
+                raise InvariantViolationError(
+                    "generator search: a mirror generator beat its twin"
+                )
     check = reduction.spectral_test(
         from_rank1(n, best_g), digits=digits, svp_cap=svp_cap
     )

@@ -7,8 +7,8 @@ Every shortest vector is two calls its caller makes, lll_reduce then
 shortest_vectors; a zero or dependent row raises InputError, a ValueError.
 The 2d Gauss reduction gives the generator search's dual bases a reduced
 block before LLL; korobov_search tells how the search shapes the bases it
-hands LLL and starts each mirror and each orbit twin from its partner's
-stopping basis.
+hands LLL and starts the other members of each orbit of isometric duals
+from its least generator's stopping basis.
 Everything works on plain Python ints (arbitrary precision, no overflow by
 construction) and is deterministic.
 

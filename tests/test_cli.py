@@ -21,8 +21,8 @@ from hypothesis import strategies as st
 
 import latdisc
 from latdisc import (
-    __version__, bounds, cli, constructions, directed, kernels, lattice, reduction,
-    volume,
+    __version__, bounds, cli, constructions, directed, kernels, lattice, linalg,
+    reduction, volume,
 )
 
 
@@ -629,6 +629,38 @@ class TestSearch:
         monkeypatch.setattr(kernels, "shortest_vectors", fake_win)
         code = cli.main(["search", "--n", "13", "--d", "3"])
         captured = capsys.readouterr()
+        assert code == 4 and captured.out == ""
+        assert captured.err.splitlines() == [
+            "latdisc: invariant violation: generator search: a mirror generator beat its twin"
+        ]
+
+    @pytest.mark.parametrize("twin", [7, 6])
+    def test_orbit_twin_win_exit_4(self, capsys, monkeypatch, twin):
+        # the Korobov generator of b = 2^-1 = 7 mod 13 is that of 2 reversed
+        # times a unit, so b's dual and n - b = 6's are isometric to 2's,
+        # and a result from either one's reduction breaks the same
+        # invariant; faked here on the enumeration of the basis that spans
+        # the twin's dual, found by its HNF
+        dual = linalg.hnf(
+            constructions._dual_rows_unit_leading(
+                13, constructions._korobov_generator(13, twin, 3)
+            ),
+            3,
+        )
+        original = kernels.shortest_vectors
+        faked = []
+
+        def fake_win(rows, beat=None):
+            found = original(rows, beat)
+            if beat is not None and linalg.hnf(rows, 3) == dual:
+                faked.append(beat)
+                found = (beat + 1, [tuple(rows[0])])
+            return found
+
+        monkeypatch.setattr(kernels, "shortest_vectors", fake_win)
+        code = cli.main(["search", "--n", "13", "--d", "3"])
+        captured = capsys.readouterr()
+        assert len(faked) == 1
         assert code == 4 and captured.out == ""
         assert captured.err.splitlines() == [
             "latdisc: invariant violation: generator search: a mirror generator beat its twin"

@@ -139,6 +139,26 @@ def _raw_dual_rows(n, g):
     return rows
 
 
+def _generators_of_lll_bases(monkeypatch, n, d, mode="korobov"):
+    # one korobov_search, LLL spied on: its result, and for each basis
+    # handed to LLL the generator whose raw unit-leading dual it spans,
+    # matched by HNF (None for a basis spanning no generator's dual)
+    bases = []
+    original = kernels.lll_reduce
+
+    def recording(rows, beat=None):
+        bases.append([list(row) for row in rows])
+        return original(rows, beat=beat)
+
+    monkeypatch.setattr(kernels, "lll_reduce", recording)
+    r = constructions.korobov_search(n, d, mode)
+    by_hnf = {
+        linalg.hnf(_raw_dual_rows(n, g), d): tuple(g)
+        for g in constructions._generators(n, d, mode)
+    }
+    return r, [by_hnf.get(linalg.hnf(rows, d)) for rows in bases]
+
+
 _PRIMES = [p for p in range(2, 10**4) if constructions._is_prime(p)]
 
 
@@ -358,16 +378,24 @@ class TestGeneratorSearch:
         "n,d", [(5, 2), (7, 2), (5, 3), (13, 3), (5, 4), (7, 4), (5, 5), (3, 6), (5, 6)]
     )
     def test_dual_bases_span_the_dual(self, n, d, mode):
-        # the bases come for the representatives g (2 g[1] <= n) in
-        # _generators order, and each is built as the generator's
+        # the bases come for the representatives g, in _generators order:
+        # each orbit's least generator, the g with 2 g[1] <= n in exhaustive
+        # mode and, in korobov mode, the a least of {a, n - a, b, n - b}
+        # for b = a^-1 mod n.  Each is built as the generator's
         # unit-leading basis: it spans the same lattice as the raw
         # unit-leading dual basis, starts with a Gauss-reduced 2d block,
         # and every row after that block is a unit row reduced against it.
         # The rows handed over are those rows sorted by squared norm, ties
         # in build order
+        def least_of_orbit(a):
+            b = pow(a, -1, n)
+            return a == min(a, n - a, b, n - b)
+
         pairs = list(constructions._dual_bases(n, d, mode))
         assert [g for g, _ in pairs] == [
-            g for g in constructions._generators(n, d, mode) if 2 * g[1] <= n
+            g
+            for g in constructions._generators(n, d, mode)
+            if (least_of_orbit(g[1]) if mode == "korobov" else 2 * g[1] <= n)
         ]
         for g, rows in pairs:
             built = constructions._dual_rows_unit_leading(n, g)
@@ -430,37 +458,17 @@ class TestGeneratorSearch:
     @pytest.mark.parametrize("n", [2, 3, 13, 31])
     @pytest.mark.parametrize("d", [2, 3])
     def test_every_lll_basis_spans_its_generators_dual(self, monkeypatch, mode, n, d):
-        # the search hands LLL each representative's basis, then its
-        # mirror's (none at n = 2), then the winner's for re-verification.
-        # Each of the first spans the raw unit-leading dual of the generator
-        # it stands for, the mirror taken here from its definition (the
-        # Korobov generator of n - a, or n minus each free coordinate), and
-        # together they stand for every generator once
-        bases = []
-        original = kernels.lll_reduce
-
-        def recording(rows, beat=None):
-            bases.append([list(row) for row in rows])
-            return original(rows, beat=beat)
-
-        monkeypatch.setattr(kernels, "lll_reduce", recording)
-        r = constructions.korobov_search(n, d, mode)
-        gens = []
-        for g in constructions._generators(n, d, mode):
-            if 2 * g[1] > n:
-                continue
-            gens.append(g)
-            if 2 * g[1] < n:
-                if mode == "korobov":
-                    gens.append(constructions._korobov_generator(n, n - g[1], d))
-                else:
-                    gens.append([1, *(n - x for x in g[1:])])
-        assert len(bases) == len(gens) + 1 == r.n_searched + 1
-        for g, rows in zip(gens, bases):
-            assert linalg.hnf(rows, d) == linalg.hnf(_raw_dual_rows(n, g), d)
-        assert sorted(map(tuple, gens)) == [
-            tuple(g) for g in constructions._generators(n, d, mode)
-        ]
+        # the search hands LLL each representative's basis, then those of
+        # the other members of its orbit (none at n = 2), then the winner's
+        # for re-verification.  Each of the first spans the raw unit-leading
+        # dual of one generator, and together they stand for every
+        # generator once; the last spans the winner's
+        r, standing_for = _generators_of_lll_bases(monkeypatch, n, d, mode)
+        gens = [tuple(g) for g in constructions._generators(n, d, mode)]
+        assert len(standing_for) == len(gens) + 1 == r.n_searched + 1
+        assert None not in standing_for
+        assert sorted(standing_for[:-1]) == gens
+        assert standing_for[-1] == r.generator
 
 
 class TestOrbitTwins:
@@ -469,9 +477,9 @@ class TestOrbitTwins:
     The Korobov generator of b = a^-1 mod n, times the unit a^(d-1), is the
     generator of a with its coordinates reversed, so dual(b) = P dual(a) for
     the reversal P, and dual(n - b) = D P dual(a) with the mirror signs D.
-    The search keeps P (or D P) times a's returned basis for the twin
-    min(b, n - b) when the scan has yet to reach it, within a bound on the
-    integers kept."""
+    The search reduces the least member a of each orbit {a, n - a, b, n - b}
+    and, right after it, the others from D, P and D P times a's returned
+    basis."""
 
     @staticmethod
     def _hnf_of_generator(n, a, d):
@@ -499,32 +507,20 @@ class TestOrbitTwins:
         else:
             assert swap_misses > 0
 
-    @pytest.mark.parametrize("n,d", [(31, 4), (61, 5), (61, 6)])
+    @pytest.mark.parametrize("n,d", [(31, 4), (61, 5), (61, 6), (13, 4), (17, 5)])
     def test_every_lll_basis_spans_its_generators_dual_past_d3(self, monkeypatch, n, d):
         # as test_every_lll_basis_spans_its_generators_dual, at d >= 4,
         # where a twin's basis taken with the wrong coordinate permutation
-        # (a swap of only the first and last) spans another lattice: each
-        # representative's basis, its mirror's, then the winner's; the
-        # first stand for every generator once
-        bases = []
-        original = kernels.lll_reduce
-
-        def recording(rows, beat=None):
-            bases.append([list(row) for row in rows])
-            return original(rows, beat=beat)
-
-        monkeypatch.setattr(kernels, "lll_reduce", recording)
-        r = constructions.korobov_search(n, d)
-        gens = []
-        for a in range(1, n // 2 + 1):
-            gens.append(constructions._korobov_generator(n, a, d))
-            gens.append(constructions._korobov_generator(n, n - a, d))
-        assert len(bases) == len(gens) + 1 == r.n_searched + 1
-        for g, rows in zip(gens, bases):
-            assert linalg.hnf(rows, d) == linalg.hnf(_raw_dual_rows(n, g), d)
-        assert sorted(map(tuple, gens)) == [
-            tuple(g) for g in constructions._generators(n, d, "korobov")
-        ]
+        # (a swap of only the first and last) spans another lattice.  At
+        # the primes n = 1 mod 4 (61, 13, 17) some a has a^2 = -1, so
+        # a^-1 = n - a and that orbit is the mirror pair {a, n - a}
+        r, standing_for = _generators_of_lll_bases(monkeypatch, n, d)
+        gens = [tuple(g) for g in constructions._generators(n, d, "korobov")]
+        assert len(standing_for) == len(gens) + 1 == r.n_searched + 1
+        assert None not in standing_for
+        assert sorted(standing_for[:-1]) == gens
+        assert standing_for[-1] == r.generator
+        assert any(a * a % n == n - 1 for a in range(2, n)) == (n % 4 == 1)
 
     @staticmethod
     def _search_with_counts(monkeypatch, n, d):
@@ -547,39 +543,14 @@ class TestOrbitTwins:
             r = constructions.korobov_search(n, d)
         return r, len(lll_calls), len(built)
 
-    @pytest.mark.parametrize("bases", [0, 1], ids=["no-basis", "one-basis"])
-    @pytest.mark.parametrize("n,d", [(503, 6), (1009, 4)])
-    def test_kept_bases_within_bound(self, monkeypatch, n, d, bases):
-        # the kept bases are a cache: with room for none or for one basis
-        # the result, n_searched and the LLL calls are the default run's,
-        # and the integers kept, read after each representative, reach the
-        # bound and never pass it
-        default = self._search_with_counts(monkeypatch, n, d)
-        bound = bases * d * d
-        monkeypatch.setattr(constructions, "_KEPT_INTS", bound)
-        kept_ints = []
-        original = constructions._dual_bases
-
-        def spying(n, d, mode, kept=None):
-            for item in original(n, d, mode, kept):
-                yield item
-                kept_ints.append(sum(len(row) for rows in kept.values() for row in rows))
-
-        monkeypatch.setattr(constructions, "_dual_bases", spying)
-        r, lll_calls, built = self._search_with_counts(monkeypatch, n, d)
-        assert (r, lll_calls) == default[:2]
-        assert len(kept_ints) == (n - 1) // 2
-        assert max(kept_ints) == bound
-        assert built > default[2]
-
     def test_one_basis_built_per_orbit(self, monkeypatch):
         # 503 = 3 mod 4, so -1 is not a square mod 503 and a^2 = +-1 only
-        # for a = +-1: of the 251 representatives a <= n / 2, a = 1 is its
-        # own twin and the other 250 pair up as {a, min(a^-1, n - a^-1)},
-        # so 1 + 250 / 2 = 126 bases are built; with no room to keep a
-        # twin's basis, all 251 are
-        r, _, built = self._search_with_counts(monkeypatch, 503, 6)
-        assert (r.n_searched, built) == (502, 126)
-        monkeypatch.setattr(constructions, "_KEPT_INTS", 0)
-        r, _, built = self._search_with_counts(monkeypatch, 503, 6)
-        assert (r.n_searched, built) == (502, 251)
+        # for a = +-1: the orbit {1, 502} is a mirror pair and the other
+        # 500 generators fall into orbits of 4, so 1 + 500 / 4 = 126 bases
+        # are built.  13 = 1 mod 4 and 5^2 = 8^2 = -1 mod 13, so {1, 12} and
+        # {5, 8} are mirror pairs and the other 8 generators make 2 orbits
+        # of 4: 4 bases
+        r, lll_calls, built = self._search_with_counts(monkeypatch, 503, 6)
+        assert (r.n_searched, lll_calls, built) == (502, 503, 126)
+        r, lll_calls, built = self._search_with_counts(monkeypatch, 13, 4)
+        assert (r.n_searched, lll_calls, built) == (12, 13, 4)
